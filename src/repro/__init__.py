@@ -20,8 +20,6 @@ paper-vs-measured record of every experiment, docs/API.md for the facade
 surface and docs/OBSERVABILITY.md for probes/manifests/profiling.
 """
 
-import warnings
-
 from repro import api
 from repro.cnfet import BitEnergyModel, LeakageModel, Sram6TCell, render_table1
 from repro.core import (
@@ -45,7 +43,6 @@ __all__ = [
     "LeakageModel",
     "Sram6TCell",
     "render_table1",
-    "CNTCache",
     "CNTCacheConfig",
     "EnergyStats",
     "Obs",
@@ -67,21 +64,3 @@ __all__ = [
     "run_experiment",
     "__version__",
 ]
-
-
-def __getattr__(name: str):
-    # Deprecation shim: the top-level simulator class moved behind the
-    # facade.  `repro.core.CNTCache` stays warning-free for internal and
-    # test code; the convenience spelling nudges toward api.make_cache().
-    if name == "CNTCache":
-        warnings.warn(
-            "importing CNTCache from the top-level 'repro' package is "
-            "deprecated; construct simulators via repro.api.make_cache() "
-            "(or import repro.core.CNTCache directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core import CNTCache
-
-        return CNTCache
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -5,8 +5,8 @@ needs goes through five keyword-only entry points:
 
 * :func:`make_cache` — construct a configured simulator behind the
   :class:`~repro.backends.CacheBackend` protocol (the only sanctioned
-  construction site; lint rule R006 flags direct ``CNTCache(...)``
-  calls elsewhere in the package, and direct construction warns).
+  construction site for package code; lint rule R006 flags direct
+  ``CNTCache(...)`` calls elsewhere in the package).
   ``backend="scalar"`` (default) is the bit-exact reference
   interpreter; ``backend="array"`` is the integer-packed engine with
   identical stats at an order of magnitude higher throughput — see
@@ -19,9 +19,9 @@ needs goes through five keyword-only entry points:
 * :func:`profile` — replay experiments with probes on; returns a
   :class:`~repro.obs.ProfileReport` (the ``cntcache profile`` command).
 
-Legacy spellings (``repro.harness.run_workload``, direct ``CNTCache``
-construction) still work but emit :class:`DeprecationWarning`; see
-docs/API.md for the migration table.
+Every ``size`` argument accepts the CLI's aliases (``smoke`` = ``tiny``;
+see :func:`repro.workloads.program.resolve_size`).  docs/API.md lists the
+removed legacy spellings and their replacements.
 
 Imports inside the functions are deliberate: the facade sits above every
 other layer, so importing it must stay cycle-free and cheap.
@@ -134,7 +134,7 @@ def simulate(
     from repro.core.config import CNTCacheConfig
     from repro.harness.runner import _run_workload
     from repro.obs import probe
-    from repro.workloads.program import WorkloadRun, get_workload
+    from repro.workloads.program import WorkloadRun, get_workload, resolve_size
 
     if config is None:
         config = CNTCacheConfig()
@@ -142,7 +142,7 @@ def simulate(
         name, size, seed = workload.name, workload.size, workload.seed
         run = workload
     else:
-        name, run = workload, None
+        name, size, run = workload, resolve_size(size), None
 
     if engine is not None:
         from repro.exec import workload_job
@@ -165,8 +165,9 @@ def plan(
 ) -> "list[SimJob]":
     """The jobs one experiment would resolve (empty for pure-model tables)."""
     from repro.harness.experiments import plan_experiment
+    from repro.workloads.program import resolve_size
 
-    return plan_experiment(experiment, size=size, seed=seed)
+    return plan_experiment(experiment, size=resolve_size(size), seed=seed)
 
 
 def profile(
@@ -188,10 +189,11 @@ def profile(
     (``None`` = each job's own selection, i.e. the scalar default).
     """
     from repro.obs.profile import profile_experiments
+    from repro.workloads.program import resolve_size
 
     return profile_experiments(
         experiments,
-        size=size,
+        size=resolve_size(size),
         seed=seed,
         jobs=jobs,
         cache_dir=cache_dir,

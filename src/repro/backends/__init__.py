@@ -147,18 +147,17 @@ def make_backend(
     """Construct the backend ``name`` for ``config``.
 
     This is the single sanctioned simulator constructor —
-    :func:`repro.api.make_cache` delegates here, and direct
-    ``CNTCache(...)`` construction elsewhere raises a DeprecationWarning.
+    :func:`repro.api.make_cache` delegates here, and lint rule R006
+    flags direct ``CNTCache(...)`` construction elsewhere in the package.
     """
     if name not in _BACKENDS:
         raise BackendError(
             f"unknown backend {name!r}; known: {backend_names()}"
         )
     if name == "scalar":
-        from repro.core import cntcache
+        from repro.core.cntcache import CNTCache
 
-        with cntcache.facade_construction():
-            return cntcache.CNTCache(config, memory)
+        return CNTCache(config, memory)
     if memory is not None:
         raise BackendError(
             "the 'array' backend keeps its own integer-packed backing "

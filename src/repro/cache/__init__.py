@@ -13,7 +13,10 @@ Layout:
 * :mod:`~repro.cache.cache` — set-associative write-back/write-allocate
   cache emitting :class:`~repro.cache.cache.ArrayEvent` streams.
 * :mod:`~repro.cache.memory` — sparse backing store.
-* :mod:`~repro.cache.hierarchy` — a small L1/L2 composition helper.
+
+Accesses that cross a line boundary are split by
+:meth:`~repro.cache.address.AddressMapper.line_parts` before they reach
+the cache, which serves one line per access.
 """
 
 from repro.cache.address import AddressMapper
@@ -23,7 +26,6 @@ from repro.cache.cache import (
     EventKind,
     SetAssociativeCache,
 )
-from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.line import CacheLine
 from repro.cache.memory import MainMemory
 from repro.cache.replacement import (
@@ -43,7 +45,6 @@ __all__ = [
     "AccessResult",
     "ArrayEvent",
     "EventKind",
-    "CacheHierarchy",
     "ReplacementPolicy",
     "LRUPolicy",
     "FIFOPolicy",

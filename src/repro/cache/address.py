@@ -80,3 +80,16 @@ class AddressMapper:
         if size < 1:
             raise AddressError(f"size must be >= 1, got {size}")
         return self.line_address(addr) != self.line_address(addr + size - 1)
+
+    def line_parts(self, addr: int, size: int) -> list[tuple[int, int]]:
+        """Split [addr, addr+size) at line boundaries into (addr, size) parts."""
+        if size < 1:
+            raise AddressError(f"size must be >= 1, got {size}")
+        line_size = self.line_size
+        parts: list[tuple[int, int]] = []
+        while size > 0:
+            chunk = min(size, line_size - (addr & (line_size - 1)))
+            parts.append((addr, chunk))
+            addr += chunk
+            size -= chunk
+        return parts

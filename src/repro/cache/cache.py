@@ -214,7 +214,7 @@ class SetAssociativeCache:
         if self.mapper.spans_lines(addr, size):
             raise AddressError(
                 f"access [{addr:#x}, +{size}) crosses a line boundary; "
-                "split it at the hierarchy level"
+                "split it with AddressMapper.line_parts"
             )
         if is_write:
             if data is None or len(data) != size:

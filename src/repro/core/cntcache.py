@@ -10,9 +10,7 @@ physically toggle, including the H&D metadata columns.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Iterable
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.cache.cache import ArrayEvent, EventKind, SetAssociativeCache
@@ -32,28 +30,6 @@ from repro.trace.record import Access
 
 class SimulationError(RuntimeError):
     """Raised when the simulator reaches an inconsistent state."""
-
-
-# Depth of facade-sanctioned construction scopes (see facade_construction).
-_FACADE_DEPTH = 0
-
-
-@contextmanager
-def facade_construction():
-    """Mark CNTCache constructions in this scope as facade-sanctioned.
-
-    :func:`repro.backends.make_backend` (the engine behind
-    ``repro.api.make_cache``) wraps its scalar construction in this
-    context; a ``CNTCache(...)`` built outside it raises a
-    DeprecationWarning, steering callers to the one construction surface
-    where backend selection lives.
-    """
-    global _FACADE_DEPTH
-    _FACADE_DEPTH += 1
-    try:
-        yield
-    finally:
-        _FACADE_DEPTH -= 1
 
 
 @dataclass
@@ -102,14 +78,6 @@ class CNTCache:
     def __init__(
         self, config: CNTCacheConfig, memory: MainMemory | None = None
     ) -> None:
-        if _FACADE_DEPTH == 0:
-            warnings.warn(
-                "direct CNTCache(...) construction is deprecated; build "
-                "simulators through repro.api.make_cache(config=..., "
-                "backend=...) so backend selection stays in one place",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.config = config
         self.memory = memory if memory is not None else MainMemory()
         self.policy: EncodingPolicy = make_policy(config)
@@ -169,7 +137,8 @@ class CNTCache:
         """Apply one valued access; returns the logical data read/written."""
         chunks: list[bytes] = []
         consumed = 0
-        for part_addr, part_size in self._split(access.addr, access.size):
+        parts = self.cache.mapper.line_parts(access.addr, access.size)
+        for part_addr, part_size in parts:
             payload = access.data[consumed : consumed + part_size]
             chunks.append(self._access_one(access.is_write, part_addr, payload))
             consumed += part_size
@@ -239,18 +208,6 @@ class CNTCache:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _split(self, addr: int, size: int) -> list[tuple[int, int]]:
-        ranges: list[tuple[int, int]] = []
-        line_size = self.config.line_size
-        position, remaining = addr, size
-        while remaining > 0:
-            line_end = (position // line_size + 1) * line_size
-            chunk = min(remaining, line_end - position)
-            ranges.append((position, chunk))
-            position += chunk
-            remaining -= chunk
-        return ranges
-
     def _access_one(self, is_write: bool, addr: int, payload: bytes) -> bytes:
         result = self.cache.access(
             is_write, addr, len(payload), payload if payload else None

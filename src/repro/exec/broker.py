@@ -6,7 +6,7 @@ queue next to the content-addressed result cache::
 
     <root>/cache/                the shared ResultStore (source of truth)
     <root>/jobs/<fp>.json        claimable job records (describe() docs)
-    <root>/leases/<fp>.json      lease files (O_EXCL claim, heartbeat renew)
+    <root>/leases/<fp>.json      lease files (exclusive link claim, heartbeat renew)
     <root>/quarantine/<fp>.json  poison jobs (outlived K straight workers)
 
 Lifecycle
@@ -15,8 +15,9 @@ A *coordinator* (an :class:`~repro.exec.engine.ExecEngine` running
 :func:`drain`) publishes one job record per unresolved job, optionally
 spawns a local worker fleet, and polls the shared cache for results.  A
 *worker* (:func:`run_worker`, the ``cntcache worker`` subcommand) claims
-a job by creating its lease file with ``O_CREAT | O_EXCL`` — the
-filesystem arbitrates the race — renews the lease's deadline from a
+a job by linking a complete lease file into place with ``os.link``, which
+refuses an existing lease — the filesystem arbitrates the race, and no
+reader ever sees a half-written lease — renews the lease's deadline from a
 heartbeat thread while the job simulates, writes the result into the
 shared cache, and removes job record and lease.
 
@@ -68,6 +69,7 @@ from repro.exec.store import (
     EngineCounters,
     ResultStore,
     sweep_stale,
+    write_atomic,
 )
 from repro.obs import probe
 from repro.obs.telemetry import TelemetryWriter, span_for, telemetry_dir
@@ -325,10 +327,11 @@ class WorkerStats:
 class BrokerStore:
     """Filesystem operations on one broker directory (both roles use it).
 
-    Every mutation follows the cache's atomicity discipline: documents
-    are published with tmp + ``os.replace``, claims with
-    ``O_CREAT | O_EXCL``, steals with ``os.replace`` to a private name —
-    each a single atomic filesystem arbitration, no locks.
+    Every mutation follows the cache's atomicity discipline
+    (:func:`~repro.exec.store.write_atomic`): documents are published
+    with tmp + ``os.replace``, claims with tmp + exclusive ``os.link``,
+    steals with ``os.replace`` to a private name — each a single atomic
+    filesystem arbitration, no locks.
     """
 
     def __init__(
@@ -416,11 +419,7 @@ class BrokerStore:
             if trace_id is not None:
                 record["trace_id"] = trace_id
                 record["span_id"] = span_for(trace_id, fingerprint)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(
-                json.dumps(record, sort_keys=True), encoding="utf-8"
-            )
-            os.replace(tmp, path)
+            write_atomic(path, json.dumps(record, sort_keys=True))
             published += 1
         self.counters.published += published
         if published:
@@ -499,8 +498,8 @@ class BrokerStore:
         *stolen* (renamed to a private name — exactly one stealer wins
         the ``os.replace`` race) and the job re-claimed at the next
         generation; a generation past the poison fuse quarantines the
-        job instead.  The acquisition itself is an ``O_CREAT | O_EXCL``
-        create of the lease file.
+        job instead.  The acquisition itself is an exclusive create of
+        the lease file (:meth:`_create_lease`).
         """
         for fingerprint in self.pending():
             claim = self._try_claim(fingerprint, worker_id)
@@ -510,11 +509,13 @@ class BrokerStore:
 
     def _try_claim(self, fingerprint: str, worker_id: str) -> Claim | None:
         lease_path = self.lease_path(fingerprint)
-        prior = self._read_lease_file(lease_path)
-        if prior is not None and not prior.expired:
-            return None  # live claim: someone's working on it
         generation = 1
+        # One observation decides: a lease created after this check makes
+        # our own create fail below, never turns into a bogus steal.
         if lease_path.exists():
+            prior = self._read_lease_file(lease_path)
+            if prior is not None and not prior.expired:
+                return None  # live claim: someone's working on it
             stolen = self._steal(lease_path, worker_id)
             if stolen is None:
                 return None  # lost the steal race
@@ -598,12 +599,8 @@ class BrokerStore:
             "by": by,
         }
         path = self.config.reclaims_dir / f"{fingerprint}.{generation}.json"
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
-            tmp.write_text(
-                json.dumps(record, sort_keys=True), encoding="utf-8"
-            )
-            os.replace(tmp, path)
+            write_atomic(path, json.dumps(record, sort_keys=True))
         except OSError:  # lint: disable=R007
             pass  # counting evidence only; the reclaim itself happened
         if self.telemetry is not None:
@@ -638,20 +635,17 @@ class BrokerStore:
         return records
 
     def _create_lease(self, lease: Lease) -> bool:
-        """``O_CREAT | O_EXCL`` acquisition; False when someone beat us."""
+        """Exclusive acquisition; False when someone beat us.
+
+        The lease appears whole or not at all, so a concurrent claimer
+        can never mistake a lease being written for a torn one.
+        """
         data = faults.mangle_lease_write(
             lease.fingerprint, json.dumps(lease.to_dict(), sort_keys=True)
         )
-        try:
-            fd = os.open(
-                self.lease_path(lease.fingerprint),
-                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-            )
-        except FileExistsError:
-            return False
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(data)
-        return True
+        return write_atomic(
+            self.lease_path(lease.fingerprint), data, exclusive=True
+        )
 
     def renew(self, claim: Claim) -> bool:
         """Heartbeat: extend the claim's deadline; False when it was lost.
@@ -679,10 +673,8 @@ class BrokerStore:
         data = faults.mangle_lease_write(
             renewed.fingerprint, json.dumps(renewed.to_dict(), sort_keys=True)
         )
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
         try:
-            tmp.write_text(data, encoding="utf-8")
-            os.replace(tmp, path)
+            write_atomic(path, data)
         except OSError:
             return False
         self.counters.lease_renewals += 1
@@ -705,13 +697,8 @@ class BrokerStore:
             deadline=_wall_now() - 1.0,
             renewals=claim.lease.renewals,
         )
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
         try:
-            tmp.write_text(
-                json.dumps(expired.to_dict(), sort_keys=True),
-                encoding="utf-8",
-            )
-            os.replace(tmp, path)
+            write_atomic(path, json.dumps(expired.to_dict(), sort_keys=True))
         except OSError:  # lint: disable=R007
             pass  # worst case the lease expires by TTL instead
 
@@ -750,12 +737,8 @@ class BrokerStore:
             "job": job.describe(),
         }
         path = self.quarantine_path(job.fingerprint)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
-            tmp.write_text(
-                json.dumps(record, sort_keys=True), encoding="utf-8"
-            )
-            os.replace(tmp, path)
+            write_atomic(path, json.dumps(record, sort_keys=True))
         except OSError:  # lint: disable=R007
             pass  # the coordinator watchdog will re-reach the verdict
         self.finish_job(job.fingerprint)

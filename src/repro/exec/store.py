@@ -12,16 +12,18 @@ Layout (unchanged from the engine's original cache)::
     <directory>/<fp[:2]>/<fp>.json    one JSON document per result:
         {"schema": ..., "fingerprint": ..., "job": {...}, "payload": {...}}
 
-Atomicity discipline: every write lands in ``<name>.tmp.<pid>`` first
-and is published with ``os.replace`` — concurrent writers of the same
-fingerprint race benignly (last writer wins with an identical document,
-because results are content-addressed).  A file that fails to parse is
+Atomicity discipline: every write goes through :func:`write_atomic`,
+which lands the document in a tmp file private to the writing thread
+(``<name>.tmp.<pid>.<thread>``) and publishes it with ``os.replace`` —
+concurrent writers of the same fingerprint race benignly (last writer
+wins with an identical document, because results are
+content-addressed).  A file that fails to parse is
 quarantined aside as ``<name>.corrupt``, never deleted in the hot path:
 the evidence (torn write? disk fault? foreign writer?) survives until
 the startup janitor's TTL reaps it.
 
 The janitor (:meth:`ResultStore.sweep`) generalizes the old
-``_sweep_stale_tmps``: orphaned ``*.tmp.<pid>`` files (crashed mid
+``_sweep_stale_tmps``: orphaned ``*.tmp.*`` files (crashed mid
 write), aged ``*.corrupt`` quarantine files (observed, diagnosed or
 not, either way stale) and — via :func:`sweep_stale`, which the broker
 reuses for lease litter — any other crash residue, each with its own
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -42,7 +45,7 @@ from repro.exec.job import ENGINE_SCHEMA, SimJob
 from repro.exec.result import ExecResult
 from repro.obs import probe
 
-#: Orphaned ``*.tmp.<pid>`` cache files older than this are swept on
+#: Orphaned ``*.tmp.*`` cache files older than this are swept on
 #: engine startup (crashed writers leave them behind); younger ones may
 #: belong to a live concurrent run sharing the cache directory.
 STALE_TMP_TTL_S = 3600.0
@@ -179,6 +182,37 @@ def sweep_stale(directory: Path, pattern: str, ttl_s: float) -> int:
     return swept
 
 
+def write_atomic(path: Path, data: str, *, exclusive: bool = False) -> bool:
+    """Publish ``data`` at ``path`` whole: readers see all of it or none.
+
+    The shared atomic-file primitive (result store, broker records and
+    leases, telemetry collector state).  ``data`` lands first in a tmp
+    file private to this thread, ``<name>.tmp.<pid>.<thread id>`` — the
+    ``*.tmp.*`` janitor globs match it, and two threads of one process
+    never share it — and is then moved into place: by ``os.replace``
+    (last writer wins), or with ``exclusive`` by ``os.link``, which
+    refuses an existing ``path`` and returns False.  Any other failure
+    raises ``OSError``; the tmp file never outlives the call.
+    """
+    tmp = path.with_name(
+        f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
+    )
+    try:
+        tmp.write_text(data, encoding="utf-8")
+        if exclusive:
+            os.link(tmp, path)
+        else:
+            os.replace(tmp, path)
+    except FileExistsError:
+        return False
+    finally:
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:  # lint: disable=R007
+            pass  # best-effort cleanup; the janitor TTL-sweeps leftovers
+    return True
+
+
 def _load_text(path: Path) -> str:
     """Read one cache file (module-level so tests can fake I/O faults)."""
     return path.read_text(encoding="utf-8")
@@ -256,11 +290,10 @@ class ResultStore:
             pass  # racing reader already moved or removed it
 
     def write(self, job: SimJob, result: ExecResult) -> None:
-        """Persist ``result`` atomically (tmp + ``os.replace``).
+        """Persist ``result`` atomically (see :func:`write_atomic`).
 
         Write failures are tolerated and counted — the cache is an
-        accelerator, not a correctness dependency — and the tmp file is
-        cleaned so a flaky disk cannot litter the directory.
+        accelerator, not a correctness dependency.
         """
         path = self.path_for(job.fingerprint)
         document = {
@@ -272,12 +305,10 @@ class ResultStore:
         data = faults.mangle_cache_write(
             job.fingerprint, json.dumps(document, sort_keys=True)
         )
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
             faults.maybe_cache_write_error(job.fingerprint)
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(data, encoding="utf-8")
-            os.replace(tmp, path)  # atomic: concurrent runs share a cache
+            write_atomic(path, data)  # concurrent runs share a cache
         except OSError as error:
             self.counters.cache_write_errors += 1
             probe.counter("exec.cache_write_errors")
@@ -285,15 +316,11 @@ class ResultStore:
                 self.progress(
                     f"[exec] cache write failed for {job.label}: {error}"
                 )
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:  # lint: disable=R007
-                pass  # best-effort cleanup on an already-failing disk
 
     def sweep(self) -> None:
         """The startup janitor: reap aged crash residue, per class.
 
-        * ``*.tmp.<pid>`` older than :data:`STALE_TMP_TTL_S` — a writer
+        * ``*.tmp.*`` older than :data:`STALE_TMP_TTL_S` — a writer
           crashed between ``write_text`` and ``os.replace``;
         * ``*.corrupt`` older than :data:`STALE_CORRUPT_TTL_S` —
           quarantined evidence nobody came back for.
@@ -316,4 +343,5 @@ __all__ = [
     "EngineCounters",
     "ResultStore",
     "sweep_stale",
+    "write_atomic",
 ]

@@ -29,14 +29,12 @@ from repro.harness.runner import (
     compare_schemes,
     replay,
     run_suite,
-    run_workload,
 )
 from repro.harness.sweep import sweep_configs
 from repro.harness.tables import render_markdown, render_table
 
 __all__ = [
     "replay",
-    "run_workload",
     "compare_schemes",
     "run_suite",
     "RunResult",

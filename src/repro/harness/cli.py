@@ -50,11 +50,15 @@ from repro.harness.experiments import (
     EXPERIMENTS,
     run_experiment,
 )
-from repro.workloads.program import workload_names
+from repro.workloads.program import (
+    SIZE_ALIASES,
+    SIZES,
+    resolve_size,
+    workload_names,
+)
 
-#: CLI size names; "smoke" is the CI alias for the smallest problem size.
-SIZE_CHOICES = ("tiny", "small", "default", "smoke")
-SIZE_ALIASES = {"smoke": "tiny"}
+#: CLI size names: every size plus its aliases ("smoke" = "tiny").
+SIZE_CHOICES = SIZES + tuple(SIZE_ALIASES)
 
 #: Simulation backends selectable from the command line (see
 #: :func:`repro.backends.backends`; stats are bit-identical across them).
@@ -209,7 +213,7 @@ def _trace_main(argv: list[str]) -> int:
         )
         print(f"chrome trace written to {path}")
         return 0
-    size = SIZE_ALIASES.get(args.size, args.size)
+    size = resolve_size(args.size)
     problem = _backend_usable(args.backend)
     if problem is not None:
         print(problem, file=sys.stderr)
@@ -500,7 +504,7 @@ def _bench_main(argv: list[str]) -> int:
         "--progress", action="store_true", help="print suite progress"
     )
     args = parser.parse_args(argv)
-    size = SIZE_ALIASES.get(args.size, args.size)
+    size = resolve_size(args.size)
     progress = (lambda line: print(line, flush=True)) if args.progress else None
     try:
         metrics = bench_module.collect(
@@ -751,7 +755,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv[:1] in (["top"], ["status"], ["metrics"]):
         return _fleet_main(argv[0], argv[1:])
     args = _parser().parse_args(argv)
-    size = SIZE_ALIASES.get(args.size, args.size)
+    size = resolve_size(args.size)
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2

@@ -48,11 +48,8 @@ def l1_filtered_stream(
     )
     stream: list[Access] = []
     for access in trace:
-        position, remaining = access.addr, access.size
         consumed = 0
-        while remaining > 0:
-            line_end = (position // line_size + 1) * line_size
-            chunk = min(remaining, line_end - position)
+        for position, chunk in l1.mapper.line_parts(access.addr, access.size):
             payload = access.data[consumed : consumed + chunk]
             result = l1.access(access.is_write, position, chunk, payload)
             if result.victim is not None and result.victim.dirty:
@@ -63,9 +60,7 @@ def l1_filtered_stream(
                 line_addr = l1.mapper.line_address(position)
                 line_data = memory.peek(line_addr, line_size)
                 stream.append(Access.read(line_addr, line_data))
-            position += chunk
             consumed += chunk
-            remaining -= chunk
     return stream
 
 

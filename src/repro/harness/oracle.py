@@ -51,11 +51,8 @@ def oracle_bound(
 
     total = 0.0
     for access in trace:
-        position, remaining = access.addr, access.size
         consumed = 0
-        while remaining > 0:
-            line_end = (position // config.line_size + 1) * config.line_size
-            chunk = min(remaining, line_end - position)
+        for position, chunk in cache.mapper.line_parts(access.addr, access.size):
             payload = access.data[consumed : consumed + chunk]
             result = cache.access(access.is_write, position, chunk, payload)
             total += peripheral
@@ -74,7 +71,5 @@ def oracle_bound(
                     is_write = False
                     total += peripheral
                 total += oracle_access_energy(codec, logical, is_write, model)
-            position += chunk
             consumed += chunk
-            remaining -= chunk
     return total

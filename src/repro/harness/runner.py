@@ -19,14 +19,10 @@ itself is built on it).  The comparison helpers (:func:`compare_schemes`,
 
 Every helper uses exactly these keyword names and defaults; this
 docstring is the normative description (the sweep module refers here).
-
-The historical :func:`run_workload` entry point is deprecated — use
-:func:`repro.api.simulate` (or :func:`compare_schemes` with an engine).
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -95,8 +91,7 @@ def _run_workload(
 ) -> RunResult:
     """Replay one workload run through one configuration (internal).
 
-    First-party code calls this (or better, :func:`repro.api.simulate`);
-    the public :func:`run_workload` name is a deprecation shim around it.
+    :func:`repro.api.simulate` is the public spelling of this call.
     """
     sim = replay(config, run.trace, run.preloads, backend=backend)
     return RunResult(
@@ -105,17 +100,6 @@ def _run_workload(
         config=config,
         stats=sim.stats,
     )
-
-
-def run_workload(config: CNTCacheConfig, run: WorkloadRun) -> RunResult:
-    """Deprecated: use :func:`repro.api.simulate` instead."""
-    warnings.warn(
-        "repro.harness.run_workload() is deprecated; use "
-        "repro.api.simulate(workload=..., config=...) or an ExecEngine",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_workload(config, run)
 
 
 def compare_schemes(

@@ -815,14 +815,11 @@ class TelemetryCollector:
                 name: view.to_dict() for name, view in self.views.items()
             },
         }
-        tmp = self.state_path.with_name(
-            f"{self.state_path.name}.{os.getpid()}.tmp"
-        )
+        # Imported here: repro.exec imports this module at load time.
+        from repro.exec.store import write_atomic
+
         try:
-            tmp.write_text(
-                json.dumps(payload, sort_keys=True), encoding="utf-8"
-            )
-            os.replace(tmp, self.state_path)
+            write_atomic(self.state_path, json.dumps(payload, sort_keys=True))
         except OSError:  # lint: disable=R007
             pass  # observation-side persistence is best-effort
 

@@ -14,6 +14,19 @@ from repro.workloads.mem import TracedMemory
 #: pytest-benchmark, ``default`` is what the experiment harness runs.
 SIZES = ("tiny", "small", "default")
 
+#: Other spellings accepted wherever a size is (CLI and :mod:`repro.api`):
+#: ``smoke`` is the CI name for the smallest problem size.
+SIZE_ALIASES = {"smoke": "tiny"}
+
+
+def resolve_size(size: str) -> str:
+    """The size in :data:`SIZES` that ``size`` names (aliases resolved).
+
+    Unknown names pass through unchanged, so the caller that validates
+    sizes still reports them.
+    """
+    return SIZE_ALIASES.get(size, size)
+
 
 class WorkloadError(ValueError):
     """Raised on invalid workload construction or use."""

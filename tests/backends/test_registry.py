@@ -1,6 +1,5 @@
 """The backend registry and the redesigned construction surface."""
 
-import warnings
 
 import pytest
 
@@ -68,21 +67,3 @@ class TestConstruction:
         memory = MainMemory()
         sim = make_backend("scalar", CNTCacheConfig(), memory)
         assert sim.memory is memory
-
-
-class TestDeprecationShim:
-    def test_direct_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="make_cache"):
-            CNTCache(CNTCacheConfig())
-
-    def test_facade_construction_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            make_cache()
-            make_backend("scalar", CNTCacheConfig())
-
-    def test_array_construction_does_not_warn(self):
-        pytest.importorskip("numpy")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            make_cache(backend="array")

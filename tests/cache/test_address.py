@@ -67,3 +67,20 @@ class TestLineOps:
     def test_spans_rejects_zero_size(self):
         with pytest.raises(AddressError):
             AddressMapper(64, 16).spans_lines(0, 0)
+
+
+class TestLineParts:
+    def test_aligned_access_single_part(self):
+        assert AddressMapper(64, 16).line_parts(0, 64) == [(0, 64)]
+
+    def test_crossing_access_two_parts(self):
+        assert AddressMapper(64, 16).line_parts(60, 8) == [(60, 4), (64, 4)]
+
+    def test_long_access_many_parts(self):
+        parts = AddressMapper(64, 16).line_parts(10, 200)
+        assert parts == [(10, 54), (64, 64), (128, 64), (192, 18)]
+        assert sum(size for _, size in parts) == 200
+
+    def test_rejects_zero_size(self):
+        with pytest.raises(AddressError):
+            AddressMapper(64, 16).line_parts(0, 0)

@@ -7,8 +7,10 @@ record and lease, and account each reclaim exactly once.
 """
 
 import json
+import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -293,6 +295,96 @@ class TestClaim:
         retry = store.claim("w1")
         assert retry is not None
         assert retry.lease.generation == 2
+
+
+class TestClaimRaces:
+    """A rival claimer landing inside another claim never steals it."""
+
+    @pytest.mark.parametrize("rival_first", [True, False])
+    def test_lease_appears_whole_or_not_at_all(
+        self, tmp_path, monkeypatch, rival_first
+    ):
+        config = fast_config(tmp_path, lease_ttl_s=30.0)
+        owner, rival = BrokerStore(config), BrokerStore(config)
+        job = cheap_jobs(1)[0]
+        owner.publish([job])
+        lease_path = owner.lease_path(job.fingerprint)
+        real_link = os.link
+        fired, rival_claims = [], []
+
+        def rival_claims_now():
+            # Another worker thread, so it writes its own tmp file.
+            thread = threading.Thread(
+                target=lambda: rival_claims.append(rival.claim("w2"))
+            )
+            thread.start()
+            thread.join(timeout=30.0)
+
+        def link_with_rival_mid_create(src, dst):
+            if Path(dst) != lease_path or fired:
+                return real_link(src, dst)
+            fired.append(True)
+            # The owner's lease is fully written but not yet in place:
+            # the rival sees no lease at all, never a partial one.
+            record = json.loads(Path(src).read_text(encoding="utf-8"))
+            assert record["worker"] == "w1"
+            assert not lease_path.exists()
+            if rival_first:
+                rival_claims_now()
+                return real_link(src, dst)
+            real_link(src, dst)
+            rival_claims_now()
+
+        monkeypatch.setattr(os, "link", link_with_rival_mid_create)
+        claim = owner.claim("w1")
+        assert len(rival_claims) == 1
+        winner = "w2" if rival_first else "w1"
+        holders = [c.lease.worker for c in (claim, rival_claims[0]) if c]
+        assert holders == [winner]
+        assert owner.read_lease(job.fingerprint).worker == winner
+        assert owner.counters.reclaims == rival.counters.reclaims == 0
+        assert rival.consume_reclaims() == []
+        assert list(config.leases_dir.glob("*.tmp.*")) == []
+
+    def test_lease_created_after_the_first_look_is_not_stolen(
+        self, tmp_path, monkeypatch
+    ):
+        config = fast_config(tmp_path, lease_ttl_s=30.0)
+        owner, rival = BrokerStore(config), BrokerStore(config)
+        job = cheap_jobs(1)[0]
+        owner.publish([job])
+        lease_path = owner.lease_path(job.fingerprint)
+        fired, claims = [], []
+
+        def owner_claims_once():
+            if not fired:
+                fired.append(True)
+                claims.append(owner.claim("w1"))
+
+        # Run the owner's claim right after the rival's first look at the
+        # lease path, whether that look is an existence check or a read.
+        real_exists = Path.exists
+        real_read = rival._read_lease_file
+
+        def exists(self, *args, **kwargs):
+            present = real_exists(self, *args, **kwargs)
+            if self == lease_path:
+                owner_claims_once()
+            return present
+
+        def read(path):
+            lease = real_read(path)
+            if path == lease_path:
+                owner_claims_once()
+            return lease
+
+        monkeypatch.setattr(Path, "exists", exists)
+        monkeypatch.setattr(rival, "_read_lease_file", read)
+        assert rival.claim("w2") is None
+        assert claims and claims[0] is not None
+        assert rival.counters.reclaims == 0
+        assert rival.consume_reclaims() == []
+        assert owner.read_lease(job.fingerprint).worker == "w1"
 
 
 # ------------------------------------------------------------------ #

@@ -4,10 +4,12 @@ The broker leans on the content-addressed cache as its single source of
 truth, which only works if concurrent writers — threads in one process,
 or entirely separate processes — can race on the same cache directory
 without corrupting it and while staying bit-identical to a serial run.
-The tmp + ``os.replace`` write discipline is what makes this hold.
+The tmp + ``os.replace`` write discipline is what makes this hold; each
+writing thread gets its own tmp file (:func:`repro.exec.store.write_atomic`).
 """
 
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -17,6 +19,7 @@ import pytest
 
 from repro import faults
 from repro.exec import ExecEngine, trace_job
+from repro.exec.store import write_atomic
 
 
 @pytest.fixture(autouse=True)
@@ -70,6 +73,41 @@ class TestThreadedWriters:
         for outcome in outcomes:
             assert outcome == reference
         assert_cache_clean(cache_dir)
+
+    def test_threads_writing_one_entry_never_share_a_tmp_file(
+        self, tmp_path, monkeypatch
+    ):
+        # Both threads finish writing their tmp file before either one
+        # publishes: with a shared tmp name one document would clobber
+        # the other and the second publish would find no tmp file.
+        path = tmp_path / "entry.json"
+        both_written = threading.Barrier(2, timeout=30.0)
+        real_replace = os.replace
+
+        def replace_after_both_wrote(src, dst):
+            if Path(dst) == path:
+                both_written.wait()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_after_both_wrote)
+        documents = [json.dumps({"writer": n, "pad": "x" * 4096}) for n in (0, 1)]
+        errors: list = []
+
+        def write(document: str) -> None:
+            try:
+                write_atomic(path, document)
+            except (OSError, threading.BrokenBarrierError) as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=write, args=(d,)) for d in documents]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert path.read_text(encoding="utf-8") in documents
+        assert list(tmp_path.glob("*.tmp.*")) == []
 
     def test_warm_replay_after_the_race_is_all_cache_hits(self, tmp_path):
         jobs = cheap_jobs(3)

@@ -1,6 +1,4 @@
-"""The repro.api facade: surface, equivalence, deprecation shims."""
-
-import warnings
+"""The repro.api facade: surface, equivalence, backend selection."""
 
 import pytest
 
@@ -95,29 +93,18 @@ class TestPlan:
     def test_pure_model_experiment_plans_empty(self):
         assert api.plan(experiment="t1", size="tiny") == []
 
+    def test_smoke_alias_plans_exactly_tiny(self):
+        smoke = api.plan(experiment="f3", size="smoke", seed=7)
+        tiny = api.plan(experiment="f3", size="tiny", seed=7)
+        assert smoke == tiny
+        assert [job.fingerprint for job in smoke] == [
+            job.fingerprint for job in tiny
+        ]
 
-class TestDeprecationShims:
-    def test_run_workload_warns_and_still_works(self, tiny_runs):
-        from repro.harness.runner import run_workload
-
-        run = tiny_runs["stream"]
-        with pytest.warns(DeprecationWarning, match="repro.api.simulate"):
-            result = run_workload(CNTCacheConfig(), run)
-        assert result.total_fj == _run_workload(CNTCacheConfig(), run).total_fj
-
-    def test_top_level_cntcache_attribute_warns(self):
-        import repro
-
-        with pytest.warns(DeprecationWarning, match="make_cache"):
-            cls = repro.CNTCache
-        assert cls is CNTCache
-
-    def test_facade_itself_is_warning_free(self, tiny_runs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            api.make_cache()
-            api.simulate(workload=tiny_runs["stream"])
-            api.plan(experiment="t1")
+    def test_simulate_accepts_the_smoke_alias(self):
+        smoke = api.simulate(workload="stream", size="smoke")
+        tiny = api.simulate(workload="stream", size="tiny")
+        assert smoke.stats == tiny.stats
 
 
 class TestBackendSelection:

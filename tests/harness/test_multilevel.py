@@ -37,6 +37,14 @@ class TestL1FilteredStream:
         assert writes[0].addr == 0x0
         assert writes[0].data[:8] == b"\xAA" * 8
 
+    def test_crossing_access_refills_only_the_missing_line(self):
+        trace = [
+            Access.read(0x0, bytes(8)),  # line 0 resident
+            Access.read(0x3C, bytes(8)),  # crosses into line 0x40
+        ]
+        stream = l1_filtered_stream(trace)
+        assert [access.addr for access in stream] == [0x0, 0x40]
+
     def test_refill_carries_true_contents(self):
         preloads = [(0x1000, b"\x5A" * 64)]
         trace = [Access.read(0x1008, b"\x5A" * 4)]

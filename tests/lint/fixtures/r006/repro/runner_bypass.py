@@ -11,8 +11,8 @@ CONFIG = object()
 
 def bad_helper(run):
     sim = CNTCache(CONFIG)  # noqa: F821
-    result = run_workload(CONFIG, run)  # noqa: F821
-    return sim, result
+    array = ArrayCNTCache(CONFIG)  # noqa: F821
+    return sim, array
 
 
 def blessed_low_level(config, trace):

@@ -94,7 +94,6 @@ class TestR006:
         ]
         messages = " ".join(finding.message for finding in findings)
         assert "CNTCache" in messages
-        assert "run_workload" in messages
         assert "replay" in messages
         assert "SimJob" in messages
 
@@ -123,7 +122,7 @@ class TestR006:
         ]
         messages = " ".join(finding.message for finding in findings)
         assert "repro.api.make_cache" in messages
-        assert "repro.api.simulate" in messages
+        assert "ArrayCNTCache" in messages
 
     def test_facade_branch_allows_replay_and_disable_comment(self):
         findings = findings_for("r006/repro/runner_bypass.py")
