@@ -9,10 +9,13 @@ Layout:
 
 * :mod:`~repro.cache.address` — address <-> (tag, set, offset) mapping.
 * :mod:`~repro.cache.replacement` — LRU / FIFO / random / tree-PLRU.
-* :mod:`~repro.cache.line` — the line state (tag, dirty, data, sidecar).
+* :mod:`~repro.cache.line` — the line state (tag, dirty, data).
 * :mod:`~repro.cache.cache` — set-associative write-back/write-allocate
   cache emitting :class:`~repro.cache.cache.ArrayEvent` streams.
 * :mod:`~repro.cache.memory` — sparse backing store.
+* :mod:`~repro.cache.substrate` — the compact per-stream log of a
+  cache's outcome (one packed row per line-part), recorded once and
+  replayed by every encoding configuration.
 
 Accesses that cross a line boundary are split by
 :meth:`~repro.cache.address.AddressMapper.line_parts` before they reach

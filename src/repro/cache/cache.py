@@ -1,21 +1,21 @@
 """Set-associative, write-back/write-allocate cache with event emission.
 
 The cache stores **logical** (program-visible) bytes; encoded-domain views
-are derived by the energy layer from each line's sidecar (direction word).
-Storing logical data keeps a single source of truth for correctness — the
-simulated program always reads exactly what it wrote, regardless of the
-encoding scheme under evaluation.
+are derived by the energy layer, which keeps each line's direction word in
+its own tables.  Storing logical data keeps a single source of truth for
+correctness — the simulated program always reads exactly what it wrote,
+regardless of the encoding scheme under evaluation.
 
 Every demand access returns the ordered list of :class:`ArrayEvent` s it
 caused (demand read/write, victim writeback, line fill); the CNT-Cache core
-turns those events into per-bit energies.
+consumes each access as one substrate row (:mod:`repro.cache.substrate`)
+and turns it into per-bit energies.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.cache.address import AddressError, AddressMapper
 from repro.cache.line import CacheLine
@@ -44,8 +44,7 @@ class ArrayEvent:
     ``payload`` carries the logical bytes involved: the slice read or
     written for demand events, the whole line for fills and writebacks.
     ``line`` references the live line for events on resident lines and is
-    ``None`` for writebacks (the line has already been replaced); evicted
-    state travels in ``sidecar``.
+    ``None`` for writebacks (the line has already been replaced).
     """
 
     kind: EventKind
@@ -54,10 +53,6 @@ class ArrayEvent:
     offset: int
     payload: bytes
     line: CacheLine | None = None
-    sidecar: Any = None
-    #: For DATA_WRITE: the logical bytes the write overwrote (needed by
-    #: content-tracking consumers such as the leakage accountant).
-    payload_before: bytes | None = None
 
     @property
     def size(self) -> int:
@@ -74,7 +69,6 @@ class EvictionInfo:
     way: int
     dirty: bool
     data: bytes
-    sidecar: Any
 
 
 @dataclass
@@ -277,7 +271,6 @@ class SetAssociativeCache:
                         offset=0,
                         payload=victim.data,
                         line=None,
-                        sidecar=victim.sidecar,
                     )
                 )
             events.append(fill_event)
@@ -285,7 +278,6 @@ class SetAssociativeCache:
         line = self._sets[set_index][way]
         if is_write:
             assert data is not None
-            overwritten = line.read(offset, size)
             line.write(offset, data)
             if self.write_through:
                 # The store is mirrored to memory; the line stays clean.
@@ -301,7 +293,6 @@ class SetAssociativeCache:
                     offset=offset,
                     payload=payload,
                     line=line,
-                    payload_before=overwritten,
                 )
             )
             result_data = payload
@@ -359,7 +350,6 @@ class SetAssociativeCache:
                             offset=0,
                             payload=bytes(line.data),
                             line=None,
-                            sidecar=line.sidecar,
                         )
                     )
                 line.invalidate()
@@ -395,7 +385,6 @@ class SetAssociativeCache:
                 way=way,
                 dirty=line.dirty,
                 data=bytes(line.data),
-                sidecar=line.sidecar,
             )
             if line.dirty:
                 self.writebacks += 1
@@ -404,7 +393,7 @@ class SetAssociativeCache:
 
         fill_addr = self.mapper.rebuild(tag, set_index)
         fill_data = self.memory.read_block(fill_addr, self.line_size)
-        ways[way].install(tag, fill_data, sidecar=None)
+        ways[way].install(tag, fill_data)
         self.replacement.fill(set_index, way)
         fill_event = ArrayEvent(
             kind=EventKind.FILL,

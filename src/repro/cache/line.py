@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 
 class LineError(ValueError):
@@ -15,9 +14,7 @@ class CacheLine:
     """One way of one set: tag, status bits and the stored payload.
 
     ``data`` holds the bytes **as stored in the array** — for an encoded
-    cache this is the *encoded* domain.  ``sidecar`` is an open slot for
-    scheme-specific per-line state (CNT-Cache hangs its direction word and
-    history counters there); the substrate never interprets it.
+    cache this is the *encoded* domain.
     """
 
     line_size: int
@@ -25,7 +22,6 @@ class CacheLine:
     valid: bool = False
     dirty: bool = False
     data: bytearray = field(default_factory=bytearray)
-    sidecar: Any = None
 
     def __post_init__(self) -> None:
         if self.line_size < 1:
@@ -47,7 +43,7 @@ class CacheLine:
         self._check_range(offset, len(payload))
         self.data[offset : offset + len(payload)] = payload
 
-    def install(self, tag: int, data: bytes, sidecar: Any = None) -> None:
+    def install(self, tag: int, data: bytes) -> None:
         """Fill this way with a new line."""
         if len(data) != self.line_size:
             raise LineError(
@@ -57,13 +53,11 @@ class CacheLine:
         self.valid = True
         self.dirty = False
         self.data[:] = data
-        self.sidecar = sidecar
 
     def invalidate(self) -> None:
         """Drop the line."""
         self.valid = False
         self.dirty = False
-        self.sidecar = None
 
     def _check_range(self, offset: int, size: int) -> None:
         if size < 1:

@@ -1,21 +1,29 @@
 """The CNT-Cache simulator: cache + codec + predictor + FIFOs + energy.
 
 This class realises the architecture of Fig. 1 on top of the substrate
-cache.  The substrate stores *logical* bytes; each line's sidecar carries
-the scheme state (direction word + window history), and every array event
-is metered through the CNFET per-bit energy model in the *encoded* domain —
-so the reported femtojoules depend on exactly the bits the array would
-physically toggle, including the H&D metadata columns.
+cache.  The substrate decides hits, ways, victims and fills; the encoding
+layer consumes each access as one substrate row
+(:mod:`repro.cache.substrate`) and keeps its own per-line tables — logical
+contents, tag, direction word and window history — indexed by
+``lid = set * assoc + way``.  Every array operation is metered through the
+CNFET per-bit energy model in the *encoded* domain, so the reported
+femtojoules depend on exactly the bits the array would physically toggle,
+including the H&D metadata columns.
+
+Rows come live from :attr:`CNTCache.cache` (:meth:`CNTCache.access`) or
+from a :class:`~repro.cache.substrate.SubstrateLog` recorded once per
+substrate stream (:meth:`CNTCache.run` with ``substrate=``); both land in
+the same consumer, so the two paths cannot diverge.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sized
 from dataclasses import dataclass
 
-from repro.cache.cache import ArrayEvent, EventKind, SetAssociativeCache
-from repro.cache.line import CacheLine
+from repro.cache.cache import SetAssociativeCache
 from repro.cache.memory import MainMemory
+from repro.cache.substrate import RowFormat, SubstrateLog, line_payloads
 from repro.cnfet.energy import BitEnergyModel
 from repro.core.config import CNTCacheConfig
 from repro.core.policy import EncodingPolicy, make_policy
@@ -23,7 +31,7 @@ from repro.core.stats import ENERGY_COMPONENTS, EnergyStats
 from repro.core.update_queue import PendingUpdate, UpdateQueue
 from repro.encoding import bits
 from repro.encoding.base import DirectionWord
-from repro.obs import trace
+from repro.obs import probe, trace
 from repro.predictor.history import LineHistory
 from repro.trace.record import Access
 
@@ -34,7 +42,7 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class LineState:
-    """Per-line sidecar: the 'H&D' extension of the cache line."""
+    """Per-line encoding state: the 'H&D' extension of the cache line."""
 
     directions: DirectionWord
     history: LineHistory | None
@@ -92,6 +100,14 @@ class CNTCache:
             write_through=config.write_through,
             write_allocate=config.write_allocate,
         )
+        self._row_format = RowFormat(config.line_size, config.assoc)
+        # The encoding layer's own per-line tables, indexed by
+        # lid = set * assoc + way; a tag of None marks an empty line.
+        self._tags: list[int | None] = [None] * config.n_lines
+        self._data: list[bytearray | None] = [None] * config.n_lines
+        self._states: list[LineState | None] = [None] * config.n_lines
+        #: True once a substrate log fed this simulator (see :meth:`run`).
+        self._log_fed = False
         self.queue = UpdateQueue(config.fifo_depth)
         self.stats = EnergyStats()
         self.model: BitEnergyModel = config.energy
@@ -135,21 +151,43 @@ class CNTCache:
     # ------------------------------------------------------------------ #
     def access(self, access: Access) -> bytes:
         """Apply one valued access; returns the logical data read/written."""
+        if self._log_fed:
+            raise SimulationError(
+                "this simulator replayed a substrate log; its cache was not "
+                "driven, so it cannot take live accesses"
+            )
+        is_write = access.is_write
         chunks: list[bytes] = []
-        consumed = 0
-        parts = self.cache.mapper.line_parts(access.addr, access.size)
-        for part_addr, part_size in parts:
-            payload = access.data[consumed : consumed + part_size]
-            chunks.append(self._access_one(access.is_write, part_addr, payload))
-            consumed += part_size
+        for addr, payload in line_payloads(self.cache.mapper, access):
+            result = self.cache.access(is_write, addr, len(payload), payload)
+            row, tag, fill = self._row_format.describe(result)
+            chunks.append(
+                self._consume(row, tag, fill, payload if is_write else None)
+            )
         return b"".join(chunks)
 
     def run(
-        self, trace: Iterable[Access], finalize: bool = True
+        self,
+        trace: Iterable[Access],
+        finalize: bool = True,
+        substrate: SubstrateLog | None = None,
     ) -> EnergyStats:
-        """Replay a whole trace; optionally drain pending updates at the end."""
-        for access in trace:
-            self.access(access)
+        """Replay a whole trace; optionally drain pending updates at the end.
+
+        ``substrate`` feeds the encoding layer from a
+        :class:`~repro.cache.substrate.SubstrateLog` of this trace
+        instead of live accesses, on a fresh simulator.  An empty log is
+        recorded first, by driving :attr:`cache` over ``trace`` once; a
+        recorded one (same :attr:`~CNTCacheConfig.substrate_key`, same
+        trace) is replayed without touching :attr:`cache` at all, and the
+        simulator takes no live :meth:`access` afterwards.  Either way the
+        stats are bit-identical to a live run.
+        """
+        if substrate is None:
+            for access in trace:
+                self.access(access)
+        else:
+            self._replay_log(substrate, trace)
         if finalize:
             self.finalize()
         return self.stats
@@ -186,19 +224,24 @@ class CNTCache:
     # ------------------------------------------------------------------ #
     # inspection helpers (tests, verification, reports)
     # ------------------------------------------------------------------ #
+    def line_state(self, set_index: int, way: int) -> LineState:
+        """The H&D state of a resident line."""
+        return self._state(set_index * self.config.assoc + way)
+
     def logical_line(self, set_index: int, way: int) -> bytes:
-        """Program-visible contents of a resident line."""
-        return bytes(self.cache.line_at(set_index, way).data)
+        """Program-visible contents of a line (zeros if never filled)."""
+        data = self._data[set_index * self.config.assoc + way]
+        return bytes(self.config.line_size) if data is None else bytes(data)
 
     def stored_line(self, set_index: int, way: int) -> bytes:
         """Array contents of a resident line (encoded domain)."""
-        line = self.cache.line_at(set_index, way)
-        state = self._state(line)
-        return self.codec.encode(bytes(line.data), state.directions)
+        lid = set_index * self.config.assoc + way
+        directions = self._state(lid).directions
+        return self.codec.encode(bytes(self._data[lid]), directions)
 
     def directions_of(self, set_index: int, way: int) -> DirectionWord:
         """Current direction word of a resident line."""
-        return self._state(self.cache.line_at(set_index, way)).directions
+        return self.line_state(set_index, way).directions
 
     @property
     def pending_updates(self) -> int:
@@ -208,36 +251,71 @@ class CNTCache:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _access_one(self, is_write: bool, addr: int, payload: bytes) -> bytes:
-        result = self.cache.access(
-            is_write, addr, len(payload), payload if payload else None
-        )
-        self.stats.accesses += 1
-        if is_write:
-            self.stats.writes += 1
+    def _replay_log(self, log: SubstrateLog, accesses: Iterable[Access]) -> None:
+        """Feed the encoding layer from a substrate log (recording it first)."""
+        if self._log_fed or self.stats.accesses or self.cache.accesses:
+            raise SimulationError(
+                "a substrate log replays into a fresh simulator only"
+            )
+        key = self.config.substrate_key
+        if not log.recorded:
+            log.record(self.cache, accesses, key)
+        elif log.key != key:
+            raise SimulationError(
+                f"substrate log recorded for {log.key}, not {key}"
+            )
         else:
-            self.stats.reads += 1
-        if result.hit:
-            self.stats.hits += 1
-        else:
-            self.stats.misses += 1
-        if result.victim is not None:
-            self.stats.evictions += 1
-            if result.victim.dirty:
-                self.stats.writebacks += 1
-            if self._track_content:
-                victim_state = result.victim.sidecar
-                directions = (
-                    victim_state.directions
-                    if isinstance(victim_state, LineState)
-                    else self.codec.neutral_directions()
-                )
-                self._stored_ones -= bits.popcount(
-                    self.codec.encode(result.victim.data, directions)
-                )
+            probe.counter("substrate.memo_hits")
+        if isinstance(accesses, Sized) and len(accesses) != log.accesses:
+            raise SimulationError(
+                f"substrate log holds {log.accesses} accesses, the trace "
+                f"{len(accesses)}"
+            )
+        self._log_fed = True
+        consume = self._consume
+        for row, tag, fill, data in log.entries():
+            consume(row, tag, fill, data)
+        for name, count in log.counters.items():
+            probe.counter(name, count)
 
-        for event in result.events:
-            self._process_event(event)
+    def _consume(
+        self, row: int, tag: int, fill: bytes | None, data: bytes | None
+    ) -> bytes:
+        """Apply one substrate row to the encoding layer.
+
+        The single consumer of substrate rows, live or logged: ``tag`` and
+        ``fill`` describe the line a miss installed, ``data`` the bytes a
+        write stored.  Returns the logical bytes read or written.
+        """
+        is_write, hit, evicted, victim_dirty, set_index, way, offset, size = (
+            self._row_format.unpack(row)
+        )
+        stats = self.stats
+        stats.accesses += 1
+        if is_write:
+            stats.writes += 1
+        else:
+            stats.reads += 1
+        if hit:
+            stats.hits += 1
+        else:
+            stats.misses += 1
+        lid = set_index * self.config.assoc + way
+        if evicted:
+            self._evict(lid, set_index, victim_dirty)
+        if fill is not None:
+            self._on_fill(lid, set_index, way, tag, fill)
+
+        if way < 0:
+            # No-write-allocate miss: the store bypassed the array.
+            assert data is not None
+            result = data
+        elif is_write:
+            assert data is not None
+            self._on_data_write(lid, set_index, offset, data)
+            result = data
+        else:
+            result = self._on_data_read(lid, set_index, offset, size)
 
         # Value-independent peripheral energy of the demand activation.
         self.stats.add("peripheral_fj", self.config.peripheral_fj_per_access)
@@ -247,15 +325,13 @@ class CNTCache:
             self.stats.add("logic_fj", self.config.encoder_logic_fj)
 
         # Window bookkeeping for adaptive schemes.  Bypassed writes
-        # (no-write-allocate misses, way < 0) never touched the array.
-        if result.way >= 0:
-            line = self.cache.line_at(result.set_index, result.way)
-            state = self._state(line)
-            history = self._history_for(result.set_index, state)
+        # never touched the array.
+        if way >= 0:
+            state = self._state(lid)
+            history = self._history_for(set_index, state)
             if history is not None:
                 self._record_history(
-                    line, state, is_write, result.set_index, result.way,
-                    history,
+                    lid, state, is_write, set_index, way, history
                 )
 
         # Idle-slot drains of the deferred-update FIFOs.
@@ -271,9 +347,9 @@ class CNTCache:
             )
 
         if trace.ACTIVE:
-            self._trace_access(result, is_write)
+            self._trace_access(lid, set_index, way, hit, is_write)
 
-        return result.data
+        return result
 
     def _trace_deltas(self) -> dict:
         """Energy/decision deltas since the last emitted trace event.
@@ -303,27 +379,26 @@ class CNTCache:
             mark[name] = value
         return {"energy": energy, **decisions}
 
-    def _trace_access(self, result, is_write: bool) -> None:
+    def _trace_access(
+        self, lid: int, set_index: int, way: int, hit: bool, is_write: bool
+    ) -> None:
         """Emit one sampled demand-access trace event (index-based)."""
         index = self.stats.accesses - 1
         if index % trace.EVERY:
             return
         fields = self._trace_deltas()
         directions = None
-        if result.way >= 0:
-            line = self.cache.line_at(result.set_index, result.way)
-            state = line.sidecar
-            if isinstance(state, LineState):
-                value = 0
-                for position, flag in enumerate(state.directions):
-                    value |= int(flag) << position
-                directions = value
+        if way >= 0:
+            value = 0
+            for position, flag in enumerate(self._state(lid).directions):
+                value |= int(flag) << position
+            directions = value
         trace.emit(
             "access",
             index=index,
-            set=result.set_index,
-            way=result.way,
-            hit=result.hit,
+            set=set_index,
+            way=way,
+            hit=hit,
             write=is_write,
             scheme=self.config.scheme,
             directions=directions,
@@ -331,34 +406,36 @@ class CNTCache:
             **fields,
         )
 
-    def _process_event(self, event: ArrayEvent) -> None:
-        kind = event.kind
-        if kind is EventKind.FILL:
-            self._on_fill(event)
-        elif kind is EventKind.WRITEBACK:
-            self._on_writeback(event)
-        elif kind is EventKind.DATA_READ:
-            self._on_data_read(event)
-        elif kind is EventKind.DATA_WRITE:
-            self._on_data_write(event)
-        else:  # pragma: no cover - exhaustive over EventKind
-            raise SimulationError(f"unhandled event kind {kind}")
+    def _evict(self, lid: int, set_index: int, victim_dirty: bool) -> None:
+        """Account the line a fill replaces (and its writeback)."""
+        state = self._state(lid)
+        logical = bytes(self._data[lid])
+        self.stats.evictions += 1
+        if victim_dirty:
+            self.stats.writebacks += 1
+        if self._track_content:
+            self._stored_ones -= bits.popcount(
+                self.codec.encode(logical, state.directions)
+            )
+        if victim_dirty:
+            self._on_writeback(set_index, state, logical)
 
-    def _on_fill(self, event: ArrayEvent) -> None:
-        line = event.line
-        assert line is not None
+    def _on_fill(
+        self, lid: int, set_index: int, way: int, tag: int, payload: bytes
+    ) -> None:
         # Any pending update for the way this line replaced is now stale.
-        self.stats.pending_dropped += self.queue.discard_line(
-            event.set_index, event.way
-        )
-        directions = self.policy.initial_directions(event.payload)
+        self.stats.pending_dropped += self.queue.discard_line(set_index, way)
+        directions = self.policy.initial_directions(payload)
         history = (
             LineHistory(self.config.window)
             if self.policy.uses_history and not self.config.shared_history
             else None
         )
-        line.sidecar = LineState(directions=directions, history=history)
-        stored = self.codec.encode(event.payload, directions)
+        state = LineState(directions=directions, history=history)
+        self._states[lid] = state
+        self._tags[lid] = tag
+        self._data[lid] = bytearray(payload)
+        stored = self.codec.encode(payload, directions)
         ones = bits.popcount(stored)
         self.stats.add(
             "fill_fj", self.model.write_energy(ones, len(stored) * 8 - ones)
@@ -366,38 +443,32 @@ class CNTCache:
         if self._track_content:
             self._stored_ones += ones
         self.stats.add("peripheral_fj", self.config.peripheral_fj_per_access)
-        self._charge_metadata_write(line.sidecar, full=True)
+        self._charge_metadata_write(state, full=True)
 
-    def _on_writeback(self, event: ArrayEvent) -> None:
-        state = event.sidecar
-        directions = (
-            state.directions
-            if isinstance(state, LineState)
-            else self.codec.neutral_directions()
-        )
-        stored = self.codec.encode(event.payload, directions)
+    def _on_writeback(
+        self, set_index: int, state: LineState, logical: bytes
+    ) -> None:
+        stored = self.codec.encode(logical, state.directions)
         ones = bits.popcount(stored)
         self.stats.add(
             "writeback_fj",
             self.model.read_energy(ones, len(stored) * 8 - ones),
         )
         self.stats.add("peripheral_fj", self.config.peripheral_fj_per_access)
-        if isinstance(state, LineState):
-            self._charge_metadata_read(
-                state, self._history_for(event.set_index, state)
-            )
+        self._charge_metadata_read(state, self._history_for(set_index, state))
 
-    def _on_data_read(self, event: ArrayEvent) -> None:
-        line = event.line
-        assert line is not None
-        state = self._state(line)
+    def _on_data_read(
+        self, lid: int, set_index: int, offset: int, size: int
+    ) -> bytes:
+        state = self._state(lid)
+        logical = bytes(self._data[lid])
         if self.config.access_granularity == "line":
             # Full-row activation: every column of the line swings its
             # bitline — the granularity the paper's Eq. 4/5 charge.
-            stored = self.codec.encode(bytes(line.data), state.directions)
+            stored = self.codec.encode(logical, state.directions)
         else:
             stored = bits.encoded_slice(
-                bytes(line.data), state.directions, event.offset, event.size
+                logical, state.directions, offset, size
             )
         ones = bits.popcount(stored)
         self.stats.add(
@@ -405,28 +476,27 @@ class CNTCache:
             self.model.read_energy(ones, len(stored) * 8 - ones),
         )
         self._charge_metadata_read(
-            state, self._history_for(event.set_index, state)
+            state, self._history_for(set_index, state)
         )
+        return logical[offset : offset + size]
 
-    def _on_data_write(self, event: ArrayEvent) -> None:
-        line = event.line
-        assert line is not None
-        state = self._state(line)
-        logical_after = bytes(line.data)
+    def _on_data_write(
+        self, lid: int, set_index: int, offset: int, payload: bytes
+    ) -> None:
+        state = self._state(lid)
+        line = self._data[lid]
+        size = len(payload)
+        logical_before = bytes(line) if self._track_content else b""
+        line[offset : offset + size] = payload
+        logical_after = bytes(line)
         old_directions = state.directions
         new_directions = self.policy.write_directions(
-            logical_after, state.directions, event.offset, event.size
+            logical_after, state.directions, offset, size
         )
         directions_changed = new_directions != state.directions
         if directions_changed:
             state.directions = new_directions
         if self._track_content:
-            assert event.payload_before is not None
-            logical_before = (
-                logical_after[: event.offset]
-                + event.payload_before
-                + logical_after[event.offset + event.size :]
-            )
             self._stored_ones += bits.popcount(
                 self.codec.encode(logical_after, new_directions)
             ) - bits.popcount(
@@ -438,7 +508,7 @@ class CNTCache:
             stored = self.codec.encode(logical_after, state.directions)
         else:
             stored = bits.encoded_slice(
-                logical_after, state.directions, event.offset, event.size
+                logical_after, state.directions, offset, size
             )
         ones = bits.popcount(stored)
         self.stats.add(
@@ -446,7 +516,7 @@ class CNTCache:
             self.model.write_energy(ones, len(stored) * 8 - ones),
         )
         self._charge_metadata_read(
-            state, self._history_for(event.set_index, state)
+            state, self._history_for(set_index, state)
         )
         if directions_changed:
             self._charge_metadata_write(state, full=False)
@@ -464,7 +534,7 @@ class CNTCache:
 
     def _record_history(
         self,
-        line: CacheLine,
+        lid: int,
         state: LineState,
         is_write: bool,
         set_index: int,
@@ -478,7 +548,7 @@ class CNTCache:
             return
         self.stats.windows_completed += 1
         self.stats.add("logic_fj", self.config.predictor_logic_fj)
-        stored = self.codec.encode(bytes(line.data), state.directions)
+        stored = self.codec.encode(bytes(self._data[lid]), state.directions)
         outcome = self.policy.window_outcome(
             stored, state.directions, history.wr_num
         )
@@ -488,7 +558,7 @@ class CNTCache:
                     index=self._window_events,
                     set_index=set_index,
                     way=way,
-                    tag=line.tag,
+                    tag=self._tags[lid],
                     wr_num=history.wr_num,
                     window=self.config.window,
                     ones=tuple(self.codec.ones_per_partition(stored)),
@@ -507,7 +577,7 @@ class CNTCache:
             PendingUpdate(
                 set_index=set_index,
                 way=way,
-                tag=line.tag,
+                tag=self._tags[lid],
                 new_directions=outcome.new_directions,
             )
         )
@@ -529,18 +599,18 @@ class CNTCache:
 
     def _apply_update(self, update: PendingUpdate) -> bool:
         """Re-encode a line per a queued update; False if it went stale."""
-        line = self.cache.line_at(update.set_index, update.way)
-        if not line.valid or line.tag != update.tag:
+        lid = update.set_index * self.config.assoc + update.way
+        if self._tags[lid] != update.tag:
             self.stats.pending_dropped += 1
             return False
-        state = self._state(line)
+        state = self._state(lid)
         flips = tuple(
             old != new
             for old, new in zip(state.directions, update.new_directions)
         )
         if not any(flips):
             return True  # nothing to rewrite, but the slot was used
-        logical = bytes(line.data)
+        logical = bytes(self._data[lid])
         width = self.codec.partition_bytes
         energy = 0.0
         for index, flipped in enumerate(flips):
@@ -636,11 +706,10 @@ class CNTCache:
             self.model.write_energy(ones, 2 * counter_bits - ones),
         )
 
-    @staticmethod
-    def _state(line: CacheLine) -> LineState:
-        state = line.sidecar
-        if not isinstance(state, LineState):
+    def _state(self, lid: int) -> LineState:
+        state = self._states[lid]
+        if state is None:
             raise SimulationError(
-                "cache line has no CNT sidecar - was it filled outside CNTCache?"
+                "cache line has no CNT state - was it filled outside CNTCache?"
             )
         return state

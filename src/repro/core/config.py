@@ -218,6 +218,25 @@ class CNTCacheConfig:
         return self.size // self.line_size
 
     @property
+    def substrate_key(self) -> tuple:
+        """The fields the substrate cache reads: geometry, replacement,
+        write policy and seed.
+
+        Two configs with equal keys see the same hits, ways, victims and
+        fills on any trace; the scheme, its knobs, the granularity and
+        the energy and leakage models only consume those events.
+        """
+        return (
+            self.size,
+            self.assoc,
+            self.line_size,
+            self.replacement,
+            self.write_through,
+            self.write_allocate,
+            self.seed,
+        )
+
+    @property
     def line_bits(self) -> int:
         """Data bits per line."""
         return self.line_size * 8

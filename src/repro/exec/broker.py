@@ -555,6 +555,15 @@ class BrokerStore:
         )
         if not self._create_lease(lease):
             return None  # lost the claim race
+        if self.cache.read(job) is not None:
+            # The owner published and retired its lease between our cache
+            # check and our create: the lease is ours, the job is done.
+            try:
+                self.lease_path(fingerprint).unlink(missing_ok=True)
+            except OSError:  # lint: disable=R007
+                pass  # an orphan lease expires by TTL; the record is gone
+            self.finish_job(fingerprint)
+            return None
         self.counters.claims += 1
         probe.counter("exec.lease_acquired")
         trace_id, span_id = self.trace_context.get(fingerprint, (None, None))

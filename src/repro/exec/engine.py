@@ -56,7 +56,7 @@ from repro.exec.store import (  # noqa: F401  (re-exported compat names)
     EngineCounters,
     ResultStore,
 )
-from repro.exec.worker import execute_job, execute_payload
+from repro.exec.worker import clear_memos, execute_job, execute_payload
 from repro.obs import probe, trace
 from repro.obs.telemetry import (
     TelemetryWriter,
@@ -571,7 +571,10 @@ def run_selftest(
     When the array backend is importable, every simulating candidate is
     additionally re-executed under ``backend="array"`` and its canonical
     measurement must match the scalar oracle's byte for byte — the
-    cross-backend leg of the same contract.
+    cross-backend leg of the same contract.  Every scalar simulating
+    candidate is also re-executed after :func:`clear_memos`, so a result
+    fed from a memoized substrate log (the second ``stream`` candidate
+    reuses the first one's) must equal a freshly recorded one.
     """
     import tempfile
 
@@ -619,6 +622,15 @@ def run_selftest(
                 failures.append(
                     f"{job.label}: in-process/subprocess/cache results differ"
                 )
+            if job.kind in ("workload", "l2", "audit"):
+                clear_memos()
+                fresh = execute_job(job)
+                if fresh.canonical() != inproc.canonical():
+                    ok = False
+                    failures.append(
+                        f"{job.label}: memo-fed result differs from a "
+                        "fresh recording"
+                    )
             if cross_check and job.kind in ("workload", "l2", "audit"):
                 mirrored = execute_job(replace(job, backend="array"))
                 if mirrored.canonical() != inproc.canonical():

@@ -5,7 +5,12 @@ it directly for serial execution and ships :func:`execute_payload` to
 ``ProcessPoolExecutor`` workers for parallel execution.  Workloads (and
 L1-filtered streams, which are equally expensive to build) are memoized
 per process, so a sweep of N configs over one workload builds its trace
-once per worker, not N times.
+once per worker, not N times.  Scalar replays go one step further: the
+substrate cache's outcome (hits, ways, victims, fills) depends only on
+the trace and :attr:`~repro.core.config.CNTCacheConfig.substrate_key`,
+so it is recorded once per substrate stream as a
+:class:`~repro.cache.substrate.SubstrateLog` and every other encoding
+config of that stream replays only the encoding layer.
 
 Everything here is deterministic: traces are rebuilt from
 (name, size, seed), the simulator is seeded from the config, and results
@@ -20,6 +25,7 @@ import time
 from collections.abc import Iterable
 
 from repro import faults
+from repro.cache.substrate import SubstrateLog
 from repro.exec.job import SimJob
 from repro.exec.result import ExecResult
 from repro.obs import probe, trace
@@ -30,6 +36,10 @@ _RUNS: dict[tuple[str, str, int], WorkloadRun] = {}
 
 #: Per-process L1-filtered stream memo (streams cost a full L1 replay).
 _STREAMS: dict[tuple, list] = {}
+
+#: Per-process substrate-log memo: (trace identity, substrate key) -> log.
+#: Plans interleave streams, so every stream of a run stays resident.
+_SUBSTRATES: dict[tuple, SubstrateLog] = {}
 
 
 def build_run(name: str, size: str, seed: int) -> WorkloadRun:
@@ -47,9 +57,35 @@ def build_run(name: str, size: str, seed: int) -> WorkloadRun:
 
 
 def clear_memos() -> None:
-    """Drop the per-process workload/stream memos (tests, memory pressure)."""
+    """Drop the per-process workload/stream/substrate memos (tests, memory
+    pressure)."""
     _RUNS.clear()
     _STREAMS.clear()
+    _SUBSTRATES.clear()
+
+
+def _replay(job: SimJob, trace: list, preloads, stream: tuple):
+    """Replay ``trace`` under the job's config; returns the simulator.
+
+    ``stream`` identifies the trace within this process.  On the scalar
+    backend the substrate log of (stream, substrate key) is recorded by
+    the first replay and fed to every later one.  The array backend
+    keeps its own substrate and is replayed live.
+    """
+    from repro.api import make_cache
+
+    assert job.config is not None
+    sim = make_cache(config=job.config, backend=job.backend)
+    sim.preload_all(preloads)
+    if job.backend != "scalar":
+        sim.run(trace)
+        return sim
+    key = stream + job.config.substrate_key
+    substrate = _SUBSTRATES.get(key)
+    if substrate is None:
+        substrate = _SUBSTRATES[key] = SubstrateLog()
+    sim.run(trace, substrate=substrate)
+    return sim
 
 
 def preload_digest(preloads: Iterable[tuple[int, bytes]]) -> str:
@@ -66,11 +102,8 @@ def preload_digest(preloads: Iterable[tuple[int, bytes]]) -> str:
 # kind dispatch
 # --------------------------------------------------------------------- #
 def _execute_workload(job: SimJob) -> ExecResult:
-    from repro.harness.runner import replay
-
     run = build_run(job.workload, job.size, job.seed)
-    assert job.config is not None
-    sim = replay(job.config, run.trace, run.preloads, backend=job.backend)
+    sim = _replay(job, run.trace, run.preloads, (job.workload, job.size, job.seed))
     return ExecResult(
         job=job,
         stats=sim.stats,
@@ -92,7 +125,6 @@ def _execute_oracle(job: SimJob) -> ExecResult:
 
 def _execute_l2(job: SimJob) -> ExecResult:
     from repro.harness.multilevel import l1_filtered_stream
-    from repro.harness.runner import replay
 
     run = build_run(job.workload, job.size, job.seed)
     assert job.config is not None
@@ -118,7 +150,7 @@ def _execute_l2(job: SimJob) -> ExecResult:
     }
     if not stream:
         return ExecResult(job=job, stats=None, values=values)
-    sim = replay(job.config, stream, run.preloads, backend=job.backend)
+    sim = _replay(job, stream, run.preloads, ("l2",) + stream_key)
     return ExecResult(job=job, stats=sim.stats, values=values)
 
 

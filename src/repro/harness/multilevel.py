@@ -23,6 +23,7 @@ from collections.abc import Iterable
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.memory import MainMemory
+from repro.cache.substrate import line_payloads
 from repro.core.config import CNTCacheConfig
 from repro.trace.record import Access
 
@@ -48,10 +49,8 @@ def l1_filtered_stream(
     )
     stream: list[Access] = []
     for access in trace:
-        consumed = 0
-        for position, chunk in l1.mapper.line_parts(access.addr, access.size):
-            payload = access.data[consumed : consumed + chunk]
-            result = l1.access(access.is_write, position, chunk, payload)
+        for position, payload in line_payloads(l1.mapper, access):
+            result = l1.access(access.is_write, position, len(payload), payload)
             if result.victim is not None and result.victim.dirty:
                 victim = result.victim
                 victim_addr = l1.mapper.rebuild(victim.tag, victim.set_index)
@@ -60,7 +59,6 @@ def l1_filtered_stream(
                 line_addr = l1.mapper.line_address(position)
                 line_data = memory.peek(line_addr, line_size)
                 stream.append(Access.read(line_addr, line_data))
-            consumed += chunk
     return stream
 
 

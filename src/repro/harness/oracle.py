@@ -17,6 +17,7 @@ from collections.abc import Iterable
 
 from repro.cache.cache import EventKind, SetAssociativeCache
 from repro.cache.memory import MainMemory
+from repro.cache.substrate import line_payloads
 from repro.core.config import CNTCacheConfig
 from repro.encoding.partitioned import PartitionedInvertCodec
 from repro.predictor.oracle import oracle_access_energy
@@ -51,10 +52,8 @@ def oracle_bound(
 
     total = 0.0
     for access in trace:
-        consumed = 0
-        for position, chunk in cache.mapper.line_parts(access.addr, access.size):
-            payload = access.data[consumed : consumed + chunk]
-            result = cache.access(access.is_write, position, chunk, payload)
+        for position, payload in line_payloads(cache.mapper, access):
+            result = cache.access(access.is_write, position, len(payload), payload)
             total += peripheral
             for event in result.events:
                 if event.kind in (EventKind.DATA_READ, EventKind.DATA_WRITE):
@@ -71,5 +70,4 @@ def oracle_bound(
                     is_write = False
                     total += peripheral
                 total += oracle_access_energy(codec, logical, is_write, model)
-            consumed += chunk
     return total

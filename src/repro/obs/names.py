@@ -65,11 +65,15 @@ METRIC_NAMES: frozenset[str] = frozenset(
         # per-process workload memo
         "workload.builds",
         "workload.memo_hits",
+        # per-process substrate-log memo (repro.cache.substrate)
+        "substrate.memo_hits",
+        "substrate.records",
         # phases (the statically-spelled ones; per-kind phases are dynamic)
         "phase.audit",
         "phase.l1_filter",
         "phase.l2",
         "phase.oracle",
+        "phase.substrate_record",
         "phase.trace",
         "phase.workload",
         "phase.workload_build",

@@ -15,11 +15,11 @@ class TestCacheLine:
 
     def test_install(self):
         line = CacheLine(8)
-        line.install(tag=5, data=bytes(range(8)), sidecar="state")
+        line.install(tag=5, data=bytes(range(8)))
         assert line.valid
         assert line.tag == 5
         assert not line.dirty
-        assert line.sidecar == "state"
+        assert bytes(line.data) == bytes(range(8))
 
     def test_install_wrong_size(self):
         with pytest.raises(LineError):
@@ -46,10 +46,11 @@ class TestCacheLine:
 
     def test_invalidate_clears_state(self):
         line = CacheLine(8)
-        line.install(1, bytes(8), sidecar=object())
+        line.install(1, bytes(8))
+        line.dirty = True
         line.invalidate()
         assert not line.valid
-        assert line.sidecar is None
+        assert not line.dirty
 
     def test_rejects_zero_size_read(self):
         with pytest.raises(LineError):

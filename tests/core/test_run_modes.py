@@ -36,13 +36,15 @@ class TestRunModes:
         reader = CNTCache(CNTCacheConfig(), memory=memory)
         assert reader.access(Access.read(0x100, b"SHAREDOK")) == b"SHAREDOK"
 
-    def test_foreign_sidecar_rejected(self):
+    def test_line_filled_outside_cntcache_rejected(self):
         sim = CNTCache(CNTCacheConfig())
         sim.access(Access.write(0x0, bytes(8)))
-        line = sim.cache.line_at(*sim.cache.probe(0x0))
-        line.sidecar = "garbage"
+        # The substrate holds a line the encoding layer never saw filled:
+        # its state table has no entry for it.
+        sim.cache.access(False, 0x40, 8, bytes(8))
+        assert sim.cache.probe(0x40)[1] is not None
         with pytest.raises(SimulationError):
-            sim.access(Access.read(0x0, bytes(8)))
+            sim.access(Access.read(0x40, bytes(8)))
 
     def test_window_observer_sees_events(self):
         events = []

@@ -30,7 +30,7 @@ class TestBehaviour:
         sim = CNTCache(CNTCacheConfig(scheme="cnt-shared"))
         sim.access(Access.write(0x100, bytes(8)))
         set_index, way = sim.cache.probe(0x100)
-        assert sim.cache.line_at(set_index, way).sidecar.history is None
+        assert sim.line_state(set_index, way).history is None
 
     def test_windows_aggregate_across_ways(self):
         """Two lines in one set fill the shared window together."""

@@ -386,6 +386,33 @@ class TestClaimRaces:
         assert rival.consume_reclaims() == []
         assert owner.read_lease(job.fingerprint).worker == "w1"
 
+    def test_result_published_before_the_lease_create_is_not_rerun(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.exec.worker import execute_job
+
+        config = fast_config(tmp_path, lease_ttl_s=30.0)
+        owner, rival = BrokerStore(config), BrokerStore(config)
+        job = cheap_jobs(1)[0]
+        owner.publish([job])
+        real_create = rival._create_lease
+
+        def owner_finishes_first(lease):
+            # The rival has checked the result cache and found nothing;
+            # the owner claims, executes, publishes and retires now.
+            claim = owner.claim("w1")
+            assert claim is not None
+            owner.cache.write(claim.job, execute_job(claim.job))
+            owner.complete(claim)
+            return real_create(lease)
+
+        monkeypatch.setattr(rival, "_create_lease", owner_finishes_first)
+        assert rival.claim("w2") is None
+        assert rival.counters.claims == 0
+        assert owner.counters.claims == 1
+        assert not owner.lease_path(job.fingerprint).exists()
+        assert not owner.job_path(job.fingerprint).exists()
+
 
 # ------------------------------------------------------------------ #
 # the worker loop (in-process)

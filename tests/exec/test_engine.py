@@ -180,3 +180,31 @@ class TestSelftest:
         assert run_selftest(size="tiny", seed=3, progress=lines.append) == []
         assert len(lines) == 6
         assert all(" ok " in line for line in lines)
+
+    def test_selftest_compares_memo_fed_with_fresh_results(self, monkeypatch):
+        import repro.exec.engine as engine_module
+
+        real_clear, real_execute = (
+            engine_module.clear_memos,
+            engine_module.execute_job,
+        )
+        after_clear = []
+
+        def clear():
+            real_clear()
+            after_clear.append(True)
+
+        def execute(job, attempt=0):
+            result = real_execute(job, attempt)
+            if after_clear and result.stats is not None:
+                # Make the freshly recorded result disagree.
+                result.stats.add("leakage_fj", 1.0)
+            after_clear.clear()
+            return result
+
+        monkeypatch.setattr(engine_module, "clear_memos", clear)
+        monkeypatch.setattr(engine_module, "execute_job", execute)
+        failures = run_selftest(size="tiny", seed=3)
+        assert failures
+        assert all("differs from a fresh recording" in f for f in failures)
+        assert len(failures) == 3  # the two stream replays and the l2 job
