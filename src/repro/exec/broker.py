@@ -8,18 +8,27 @@ queue next to the content-addressed result cache::
     <root>/jobs/<fp>.json        claimable job records (describe() docs)
     <root>/leases/<fp>.json      lease files (exclusive link claim, heartbeat renew)
     <root>/quarantine/<fp>.json  poison jobs (outlived K straight workers)
+    <root>/drain.closed          present once the coordinator's drain is over
 
 Lifecycle
 ---------
 A *coordinator* (an :class:`~repro.exec.engine.ExecEngine` running
 :func:`drain`) publishes one job record per unresolved job, optionally
-spawns a local worker fleet, and polls the shared cache for results.  A
-*worker* (:func:`run_worker`, the ``cntcache worker`` subcommand) claims
-a job by linking a complete lease file into place with ``os.link``, which
-refuses an existing lease — the filesystem arbitrates the race, and no
-reader ever sees a half-written lease — renews the lease's deadline from a
-heartbeat thread while the job simulates, writes the result into the
-shared cache, and removes job record and lease.
+spawns a local worker fleet, and adopts results as they appear in the
+shared cache's directory listings.  A *worker* (:func:`run_worker`, the
+``cntcache worker`` subcommand) claims a job by linking a complete lease
+file into place with ``os.link``, which refuses an existing lease — the
+filesystem arbitrates the race, and no reader ever sees a half-written
+lease — renews the lease's deadline from a heartbeat thread while the
+job simulates, writes the result into the shared cache, and removes job
+record and lease.  When the drain is over the coordinator writes the
+``drain.closed`` marker, and workers with nothing left to do exit on it.
+
+Both loops cost the work that changed, not the size of the queue: a
+worker claims from a snapshot of one ``jobs/`` listing and lists again
+only when the snapshot runs dry, and a coordinator round lists
+``jobs/``, the cache shards of its unresolved jobs and ``leases/``, then
+reads only the files those listings name.
 
 Crash recovery is lease-based and **at-least-once**: a worker that is
 SIGKILLed mid-job stops heartbeating, its lease deadline passes, and the
@@ -44,6 +53,12 @@ Resume is free: job records and the cache live on disk, so a restarted
 coordinator republishes (idempotently) only what its own resolve
 pipeline still misses, adopts what workers finished in the meantime as
 cache hits, and the drain continues where it stopped.
+
+A result can be lost after its job record was retired — a torn or failed
+cache write.  The coordinator sees a job with neither a record nor a
+readable result and republishes it one attempt later (the record's
+``attempt`` field); a job whose result is lost ``max_generations`` times
+is quarantined as poison.
 """
 
 from __future__ import annotations
@@ -57,7 +72,7 @@ import subprocess
 import sys
 import threading
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Container
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,6 +83,7 @@ from repro.exec.store import (
     STALE_LEASE_TTL_S,
     EngineCounters,
     ResultStore,
+    listed,
     sweep_stale,
     write_atomic,
 )
@@ -218,6 +234,11 @@ class BrokerConfig:
         return Path(self.root) / "reclaims"
 
     @property
+    def closed_path(self) -> Path:
+        """The drain-closed marker: idle workers exit once it exists."""
+        return Path(self.root) / "drain.closed"
+
+    @property
     def heartbeat_interval(self) -> float:
         """Lease renewal period (explicit, or a third of the TTL)."""
         return (
@@ -287,12 +308,15 @@ class Claim:
     telemetry, or by a coordinator running without it); the worker
     propagates them into its telemetry frames and the result's trace
     snapshot.  Pure observability — they never enter the job identity.
+    ``attempt`` is the job's retry index: the record's republish count
+    plus the lease generations before this one.
     """
 
     job: SimJob
     lease: Lease
     trace_id: str | None = None
     span_id: str | None = None
+    attempt: int = 0
 
 
 @dataclass
@@ -358,13 +382,13 @@ class BrokerStore:
             else cache
         )
         self.max_generations = config.generations(self.resilience)
-        #: fingerprint -> (trace_id, span_id) read off published records,
-        #: so claims carry the coordinator's correlation ids.
-        self.trace_context: dict = {}
         #: Fingerprints this process decided never to claim again
         #: (foreign code versions, quarantined jobs) — stops the claim
         #: scan from re-parsing them every poll.
         self._skip: set[str] = set()
+        #: The claim snapshot: pending fingerprints from the last
+        #: ``jobs/`` listing, in reverse so ``pop()`` walks them in order.
+        self._snapshot: list[str] = []
         for directory in (
             config.cache_dir,
             config.jobs_dir,
@@ -392,24 +416,39 @@ class BrokerStore:
     # -------------------------------------------------------------- #
     # coordinator side: publish
     # -------------------------------------------------------------- #
-    def publish(self, jobs: list[SimJob], trace_id: str | None = None) -> int:
+    def publish(
+        self,
+        jobs: list[SimJob],
+        trace_id: str | None = None,
+        attempt: int = 0,
+    ) -> int:
         """Publish claimable records for ``jobs``; returns how many are new.
 
         Idempotent: an existing record (same content-addressed name) is
         left untouched, so a resumed coordinator republishes nothing a
-        previous drain already posted.  Quarantined jobs are skipped —
-        they already failed permanently.  With a ``trace_id``, every new
-        record is stamped with it plus the job's derived span id
-        (:func:`repro.obs.telemetry.span_for`) so workers propagate the
-        coordinator's correlation ids; records are still claimable by
-        fleets that ignore the fields.
+        previous drain already posted.  Jobs with a result in the cache
+        are skipped — a worker may finish one between the caller's
+        resolve and this call — and so are quarantined jobs, which
+        already failed permanently.  ``jobs/`` is listed before the
+        cache: a worker writes its result before it retires the record,
+        so a job in neither listing has not finished.  With a
+        ``trace_id``, every new record is stamped with it plus the job's
+        derived span id (:func:`repro.obs.telemetry.span_for`) so workers
+        propagate the coordinator's correlation ids; records are still
+        claimable by fleets that ignore the fields.  A nonzero
+        ``attempt`` (a job republished after its result was lost) is
+        recorded so the next execution runs — and faults — as that
+        retry.
         """
         published = 0
+        skip = listed(self.config.jobs_dir)
+        skip |= self.cache.present(job.fingerprint for job in jobs)
+        skip |= listed(self.config.quarantine_dir)
         for job in jobs:
             fingerprint = job.fingerprint
-            path = self.job_path(fingerprint)
-            if path.exists() or self.quarantine_path(fingerprint).exists():
+            if fingerprint in skip:
                 continue
+            skip.add(fingerprint)
             record = {
                 "schema": BROKER_SCHEMA,
                 "fingerprint": fingerprint,
@@ -419,7 +458,11 @@ class BrokerStore:
             if trace_id is not None:
                 record["trace_id"] = trace_id
                 record["span_id"] = span_for(trace_id, fingerprint)
-            write_atomic(path, json.dumps(record, sort_keys=True))
+            if attempt:
+                record["attempt"] = attempt
+            write_atomic(
+                self.job_path(fingerprint), json.dumps(record, sort_keys=True)
+            )
             published += 1
         self.counters.published += published
         if published:
@@ -431,18 +474,10 @@ class BrokerStore:
     # -------------------------------------------------------------- #
     def pending(self) -> list[str]:
         """Fingerprints with a published job record, sorted for fairness."""
-        try:
-            names = sorted(
-                path.stem
-                for path in self.config.jobs_dir.glob("*.json")
-                if path.stem not in self._skip
-            )
-        except OSError:
-            return []
-        return names
+        return sorted(listed(self.config.jobs_dir) - self._skip)
 
-    def load_job(self, fingerprint: str) -> SimJob | None:
-        """Reconstruct the published job, or ``None`` when unusable.
+    def load_job(self, fingerprint: str) -> tuple[SimJob, dict] | None:
+        """The published job and its record, or ``None`` when unusable.
 
         A record written by a different code/schema version is skipped
         permanently for this process (another, matching fleet may own
@@ -457,13 +492,10 @@ class BrokerStore:
             job = job_from_payload(record["job"])
             if job.fingerprint != fingerprint:
                 raise BrokerError(f"job record {path.name} hash mismatch")
-            trace_id = record.get("trace_id")
-            if trace_id is not None:
-                self.trace_context[fingerprint] = (
-                    str(trace_id),
-                    record.get("span_id"),
-                )
-            return job
+            attempt = record.get("attempt", 0)
+            if not isinstance(attempt, int) or attempt < 0:
+                raise BrokerError(f"job record {path.name} bad attempt")
+            return job, record
         except FileNotFoundError:
             return None
         except (OSError, ValueError, KeyError, BrokerError) as error:
@@ -493,18 +525,29 @@ class BrokerStore:
     def claim(self, worker_id: str) -> Claim | None:
         """Try to acquire one pending job; ``None`` when nothing claimable.
 
-        Scans published records in fingerprint order.  For each: a live
-        lease means someone is working on it; an expired/torn lease is
-        *stolen* (renamed to a private name — exactly one stealer wins
-        the ``os.replace`` race) and the job re-claimed at the next
-        generation; a generation past the poison fuse quarantines the
-        job instead.  The acquisition itself is an exclusive create of
-        the lease file (:meth:`_create_lease`).
+        Pops published fingerprints off the claim snapshot, and lists
+        ``jobs/`` again (:meth:`pending`) only when the snapshot runs
+        dry — at most once per call.  A stale snapshot only changes
+        *which* job is tried: :meth:`_try_claim` re-checks lease, record
+        and cache on disk.  For each: a live lease means someone is
+        working on it (the job is seen again at the next listing, which
+        is how an expired lease still gets stolen); an expired/torn
+        lease is *stolen* (renamed to a private name — exactly one
+        stealer wins the ``os.replace`` race) and the job re-claimed at
+        the next generation; a generation past the poison fuse
+        quarantines the job instead.  The acquisition itself is an
+        exclusive create of the lease file (:meth:`_create_lease`).
         """
-        for fingerprint in self.pending():
-            claim = self._try_claim(fingerprint, worker_id)
-            if claim is not None:
-                return claim
+        for relist in (False, True):
+            if relist:
+                self._snapshot = self.pending()[::-1]
+            while self._snapshot:
+                fingerprint = self._snapshot.pop()
+                if fingerprint in self._skip:
+                    continue
+                claim = self._try_claim(fingerprint, worker_id)
+                if claim is not None:
+                    return claim
         return None
 
     def _try_claim(self, fingerprint: str, worker_id: str) -> Claim | None:
@@ -532,9 +575,10 @@ class BrokerStore:
                     f"{fingerprint[:12]} from {lost_worker} "
                     f"(generation {generation})"
                 )
-        job = self.load_job(fingerprint)
-        if job is None:
+        loaded = self.load_job(fingerprint)
+        if loaded is None:
             return None  # completed elsewhere, or unusable (now skipped)
+        job, record = loaded
         if self.cache.read(job) is not None:
             # Someone finished it but died before retiring the record.
             self.finish_job(fingerprint)
@@ -566,9 +610,13 @@ class BrokerStore:
             return None
         self.counters.claims += 1
         probe.counter("exec.lease_acquired")
-        trace_id, span_id = self.trace_context.get(fingerprint, (None, None))
+        trace_id = record.get("trace_id")
         return Claim(
-            job=job, lease=lease, trace_id=trace_id, span_id=span_id
+            job=job,
+            lease=lease,
+            trace_id=None if trace_id is None else str(trace_id),
+            span_id=record.get("span_id"),
+            attempt=record.get("attempt", 0) + generation - 1,
         )
 
     def _steal(self, lease_path: Path, worker_id: str) -> tuple[str, int] | None:
@@ -769,10 +817,18 @@ class BrokerStore:
                 f"[broker] quarantined poison job {job.label}: {reason}"
             )
 
-    def quarantined(self) -> list[dict]:
-        """Every readable quarantine record (coordinator consumption)."""
+    def quarantined(self, among: Container[str] | None = None) -> list[dict]:
+        """Every readable quarantine record, or those of ``among`` only.
+
+        The coordinator passes its unresolved fingerprints, so a round
+        reads only the records that concern it, not every poison job a
+        long-lived broker directory has collected.
+        """
         records = []
-        for path in sorted(self.config.quarantine_dir.glob("*.json")):
+        for fingerprint in sorted(listed(self.config.quarantine_dir)):
+            if among is not None and fingerprint not in among:
+                continue
+            path = self.quarantine_path(fingerprint)
             try:
                 record = json.loads(path.read_text(encoding="utf-8"))
             except (OSError, ValueError):  # lint: disable=R007
@@ -780,6 +836,37 @@ class BrokerStore:
             if record.get("schema") == BROKER_SCHEMA:
                 records.append(record)
         return records
+
+    # -------------------------------------------------------------- #
+    # the drain-closed marker
+    # -------------------------------------------------------------- #
+    def reopen(self) -> None:
+        """Remove the drain-closed marker before publishing new work."""
+        self.config.closed_path.unlink(missing_ok=True)
+
+    def close(self) -> None:
+        """Write the drain-closed marker: idle workers exit on it."""
+        try:
+            write_atomic(
+                self.config.closed_path,
+                json.dumps({"schema": BROKER_SCHEMA, "closed": _wall_now()}),
+            )
+        except OSError:  # lint: disable=R007
+            pass  # workers then leave by idle timeout or SIGTERM
+
+    def drained(self) -> bool:
+        """True when the drain is closed and no live lease remains.
+
+        A worker leaves only then: while a lease is live its job may
+        still be lost and need a claimer (a second coordinator sharing
+        the directory can also have work in flight).
+        """
+        if not self.config.closed_path.exists():
+            return False
+        return not any(
+            lease is not None and not lease.expired
+            for lease in map(self.read_lease, listed(self.config.leases_dir))
+        )
 
     # -------------------------------------------------------------- #
     # hygiene
@@ -873,12 +960,14 @@ def run_worker(
 ) -> WorkerStats:
     """One worker loop: claim, heartbeat, execute, publish, repeat.
 
-    Exits cleanly after ``idle_timeout_s`` with nothing claimable, after
-    ``max_jobs`` claims, or when ``stop`` is set (the CLI wires SIGTERM
-    to it for graceful drain).  ``hard_faults=True`` marks the process a
-    fault-injection *worker* (see :func:`repro.faults.mark_worker_process`)
-    so injected crashes really ``os._exit`` — reversible, for in-process
-    tests.
+    Exits cleanly once nothing is claimable and the coordinator closed
+    the drain (:meth:`BrokerStore.drained`), after ``idle_timeout_s``
+    with nothing claimable, after ``max_jobs`` claims, or when ``stop``
+    is set (the CLI wires SIGTERM to it for graceful drain); the
+    telemetry ``exit`` frame names which.  ``hard_faults=True`` marks
+    the process a fault-injection *worker* (see
+    :func:`repro.faults.mark_worker_process`) so injected crashes really
+    ``os._exit`` — reversible, for in-process tests.
 
     Error handling transfers the engine's taxonomy: a transient error
     expires this worker's own lease in place (same fingerprint ladder a
@@ -923,6 +1012,7 @@ def run_worker(
 
     if hard_faults:
         faults.mark_worker_process(True)
+    reason = "error"
     try:
         reclaims_before = store.counters.reclaims
         idle_since = time.monotonic()
@@ -930,7 +1020,11 @@ def run_worker(
         while stop is None or not stop.is_set():
             claim = store.claim(identity)
             if claim is None:
+                if store.drained():
+                    reason = "drained"
+                    break
                 if time.monotonic() - idle_since >= idle_budget:
+                    reason = "idle"
                     break
                 telemetry.heartbeat("idle", **gauges())
                 time.sleep(config.poll_s)
@@ -968,9 +1062,7 @@ def run_worker(
             )
             heartbeat.start()
             try:
-                result = _worker.execute_job(
-                    claim.job, attempt=claim.lease.generation - 1
-                )
+                result = _worker.execute_job(claim.job, attempt=claim.attempt)
             # Sanctioned broad catch: classified below into the same
             # transient/permanent taxonomy the local backends use.
             except Exception as error:  # lint: disable=R007
@@ -1010,7 +1102,7 @@ def run_worker(
                     # timeline.
                     result.trace.setdefault("trace_id", claim.trace_id)
                     result.trace.setdefault("span_id", claim.span_id)
-                store.cache.write(claim.job, result)
+                store.cache.write(claim.job, result, attempt=claim.attempt)
                 store.complete(claim)
                 stats.executed += 1
                 accesses_total += result.accesses
@@ -1043,11 +1135,19 @@ def run_worker(
                     probe.gauge("worker.claimed", stats.claimed)
                     probe.gauge("worker.failures", stats.failures)
             if max_jobs is not None and stats.claimed >= max_jobs:
+                reason = "max_jobs"
                 break
+        else:
+            reason = "stopped"
     finally:
         if hard_faults:
             faults.mark_worker_process(False)
-        telemetry.lifecycle("exit", claimed=stats.claimed, executed=stats.executed)
+        telemetry.lifecycle(
+            "exit",
+            claimed=stats.claimed,
+            executed=stats.executed,
+            reason=reason,
+        )
         telemetry.heartbeat("exited", force=True, **gauges())
         telemetry.close()
     stats.reclaims = store.counters.reclaims - reclaims_before
@@ -1133,6 +1233,18 @@ class _Fleet:
             )
 
     def shutdown(self) -> None:
+        """Wait for the workers to leave on the drain-closed marker.
+
+        A worker notices the marker within one poll; whoever is still
+        running after the grace period (busy with a job, or still
+        starting up) gets SIGTERM, then SIGKILL.
+        """
+        deadline = time.monotonic() + max(5.0, 3.0 * self.config.poll_s)
+        for proc in self.procs:
+            try:
+                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:  # lint: disable=R007
+                pass  # the SIGTERM fallback below handles it
         for proc in self.procs:
             if proc.poll() is None:
                 proc.terminate()  # SIGTERM: workers drain gracefully
@@ -1149,11 +1261,14 @@ def drain(engine, pending: list[SimJob]) -> None:
 
     The engine's resolve pipeline already consumed memo and cache hits,
     so ``pending`` is exactly the unfinished remainder — which makes
-    coordinator restart a resume for free.  The loop: adopt results as
-    they land in the shared cache; convert quarantine records into
-    permanent failures; observe lease generations as the liveness
-    watchdog (a generation bump = a reclaim from a lost worker); keep
-    the local fleet staffed.
+    coordinator restart a resume for free.  Each round costs the work
+    that changed: it lists ``jobs/`` and the cache shards of the
+    unresolved jobs, adopts the results those listings name, and
+    republishes a job whose result was lost; it converts quarantine
+    records into permanent failures; it reads the leases that exist as
+    the liveness watchdog; and it keeps the local fleet staffed.  When
+    the drain is over — finished or given up — it writes the
+    drain-closed marker, and the fleet leaves on it.
     """
     config = engine.broker
     if config is None:
@@ -1161,6 +1276,7 @@ def drain(engine, pending: list[SimJob]) -> None:
     if engine.store is None:
         raise BrokerError("broker engine has no result store")
     telemetry = getattr(engine, "telemetry", None)
+    trace_id = getattr(engine, "trace_id", None)
     store = BrokerStore(
         config,
         resilience=engine.resilience,
@@ -1170,19 +1286,12 @@ def drain(engine, pending: list[SimJob]) -> None:
         telemetry=telemetry,
     )
     store.sweep()
-    published = store.publish(
-        pending, trace_id=getattr(engine, "trace_id", None)
-    )
-    if engine.obs is not None:
-        engine.obs.record_broker(
-            "publish", jobs=len(pending), published=published
-        )
-    if telemetry is not None:
-        telemetry.lifecycle(
-            "publish", jobs=len(pending), published=published
-        )
+    store.reopen()
     unresolved: dict[str, SimJob] = {job.fingerprint: job for job in pending}
     lost_workers: set[str] = set()
+    #: fingerprint -> how many times its result was lost (the attempt
+    #: its republished record runs at).
+    lost_results: dict[str, int] = {}
 
     def account_reclaims() -> None:
         """Fold every durable reclaim record into the engine, once each."""
@@ -1202,6 +1311,42 @@ def drain(engine, pending: list[SimJob]) -> None:
                     lost_worker=lost,
                     by=record.get("by"),
                 )
+
+    def republish(job: SimJob) -> None:
+        """Run a job whose result was lost again, one attempt later.
+
+        Its record is retired and its result unreadable (a torn write
+        quarantined aside, or a write that failed), so nobody would
+        ever run it again.  At the poison fuse it is quarantined.
+        """
+        fingerprint = job.fingerprint
+        if store.quarantine_path(fingerprint).exists():
+            return  # a poison verdict: step 2 turns it into a failure
+        attempt = lost_results[fingerprint] = (
+            lost_results.get(fingerprint, 0) + 1
+        )
+        if attempt >= store.max_generations:
+            store.quarantine_job(
+                job,
+                attempt,
+                f"result lost {attempt} time(s) "
+                f"(poison fuse: {store.max_generations})",
+            )
+            return
+        store.publish([job], trace_id=trace_id, attempt=attempt)
+        if engine.obs is not None:
+            engine.obs.record_broker(
+                "republish", fingerprint=fingerprint, attempt=attempt
+            )
+        if engine.progress is not None:
+            engine.progress(
+                f"[broker] result of {job.label} lost; republished "
+                f"(attempt {attempt})"
+            )
+
+    # The fleet starts before the records land, so worker start-up
+    # (interpreter and imports) overlaps publishing; a worker claims
+    # whatever its first listing shows.
     fleet = (
         _Fleet(
             config,
@@ -1213,27 +1358,41 @@ def drain(engine, pending: list[SimJob]) -> None:
         else None
     )
     try:
+        published = store.publish(pending, trace_id=trace_id)
+        if engine.obs is not None:
+            engine.obs.record_broker(
+                "publish", jobs=len(pending), published=published
+            )
+        if telemetry is not None:
+            telemetry.lifecycle(
+                "publish", jobs=len(pending), published=published
+            )
         while unresolved:
-            progressed = False
-            # 1. Adopt whatever the fleet finished into the engine.
+            # 1. Adopt what the fleet finished.  jobs/ is listed before
+            #    the cache: a worker writes its result before it retires
+            #    the record, so a job in neither listing lost its result.
+            records = listed(config.jobs_dir)
+            cached = store.cache.present(unresolved)
             for fingerprint, job in list(unresolved.items()):
-                result = store.cache.read(job)
-                if result is None:
-                    continue
-                result.source = "broker"
-                engine._adopt(job, result)
-                store.finish_job(fingerprint)
-                del unresolved[fingerprint]
-                progressed = True
+                result = (
+                    store.cache.read(job) if fingerprint in cached else None
+                )
+                if result is not None:
+                    result.source = "broker"
+                    engine._adopt(job, result)
+                    if fingerprint in records:
+                        store.finish_job(fingerprint)
+                    del unresolved[fingerprint]
+                elif fingerprint not in records:
+                    republish(job)
             if not unresolved:
                 break
             # 2. Quarantine records become permanent structured failures.
-            for record in store.quarantined():
+            for record in store.quarantined(among=unresolved):
                 fingerprint = record.get("fingerprint")
                 job = unresolved.pop(fingerprint, None)  # type: ignore[arg-type]
                 if job is None:
                     continue
-                progressed = True
                 engine.counters.quarantined += 1
                 probe.counter("exec.quarantined")
                 if engine.obs is not None:
@@ -1259,8 +1418,11 @@ def drain(engine, pending: list[SimJob]) -> None:
             account_reclaims()
             # 4. Watchdog: a lease expired at the poison fuse is
             #    quarantined here in case every worker is dead and
-            #    nobody else will reach the verdict.
-            for fingerprint in list(unresolved):
+            #    nobody else will reach the verdict (step 2 consumes it
+            #    next round).  Only leases that exist are read.
+            for fingerprint in sorted(
+                listed(config.leases_dir) & unresolved.keys()
+            ):
                 lease = store.read_lease(fingerprint)
                 if lease is None:
                     continue
@@ -1275,7 +1437,6 @@ def drain(engine, pending: list[SimJob]) -> None:
                         f"generation(s) expired without a result "
                         f"(poison fuse: {store.max_generations})",
                     )
-                    progressed = True  # consumed by step 2 next round
             if fleet is not None:
                 fleet.maintain(active_jobs=len(unresolved))
             if telemetry is not None and telemetry.due:
@@ -1288,8 +1449,7 @@ def drain(engine, pending: list[SimJob]) -> None:
                     reclaims=engine.counters.reclaims,
                     quarantined=engine.counters.quarantined,
                 )
-            if not progressed:
-                time.sleep(config.poll_s)
+            time.sleep(config.poll_s)
         # Final accounting pass: the loop exits the moment the last job
         # is adopted, which can leave that job's reclaim record unread.
         account_reclaims()
@@ -1313,6 +1473,7 @@ def drain(engine, pending: list[SimJob]) -> None:
                 "draining", force=True, queue_depth=0, unresolved=0
             )
     finally:
+        store.close()
         if fleet is not None:
             fleet.shutdown()
 

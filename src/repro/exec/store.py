@@ -36,7 +36,7 @@ import json
 import os
 import threading
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -213,6 +213,21 @@ def write_atomic(path: Path, data: str, *, exclusive: bool = False) -> bool:
     return True
 
 
+def listed(directory: Path) -> set[str]:
+    """Names of the ``<name>.json`` documents in ``directory``, sans suffix.
+
+    One ``os.listdir``, names only: no per-entry ``stat`` or ``Path``.
+    Siblings such as ``<name>.json.tmp.*`` or ``<name>.corrupt`` never
+    match; a missing directory lists nothing.  The cache, the broker's
+    job/lease/quarantine directories and their pollers share it.
+    """
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return set()
+    return {name[:-5] for name in names if name.endswith(".json")}
+
+
 def _load_text(path: Path) -> str:
     """Read one cache file (module-level so tests can fake I/O faults)."""
     return path.read_text(encoding="utf-8")
@@ -234,6 +249,24 @@ class ResultStore:
     def path_for(self, fingerprint: str) -> Path:
         """Where a result with ``fingerprint`` lives (or would live)."""
         return self.directory / fingerprint[:2] / f"{fingerprint}.json"
+
+    def present(self, fingerprints: Iterable[str]) -> set[str]:
+        """The ``fingerprints`` that have a result file, from listings.
+
+        Lists each shard directory once (names only) instead of probing
+        one path per fingerprint, so a caller polling many jobs pays
+        for at most 256 ``listdir`` calls.  Presence is not validity:
+        :meth:`read` still decides whether the file parses.
+        """
+        listings: dict[str, set[str]] = {}
+        found: set[str] = set()
+        for fingerprint in fingerprints:
+            shard = fingerprint[:2]
+            if shard not in listings:
+                listings[shard] = listed(self.directory / shard)
+            if fingerprint in listings[shard]:
+                found.add(fingerprint)
+        return found
 
     def read(self, job: SimJob) -> ExecResult | None:
         """The cached result of ``job``, or ``None`` on any kind of miss.
@@ -289,11 +322,14 @@ class ResultStore:
         except OSError:  # lint: disable=R007
             pass  # racing reader already moved or removed it
 
-    def write(self, job: SimJob, result: ExecResult) -> None:
+    def write(
+        self, job: SimJob, result: ExecResult, *, attempt: int = 0
+    ) -> None:
         """Persist ``result`` atomically (see :func:`write_atomic`).
 
         Write failures are tolerated and counted — the cache is an
-        accelerator, not a correctness dependency.
+        accelerator, not a correctness dependency.  ``attempt`` is the
+        job's retry index, which keys the injected write faults.
         """
         path = self.path_for(job.fingerprint)
         document = {
@@ -303,10 +339,10 @@ class ResultStore:
             "payload": result.payload(),
         }
         data = faults.mangle_cache_write(
-            job.fingerprint, json.dumps(document, sort_keys=True)
+            job.fingerprint, json.dumps(document, sort_keys=True), attempt
         )
         try:
-            faults.maybe_cache_write_error(job.fingerprint)
+            faults.maybe_cache_write_error(job.fingerprint, attempt)
             path.parent.mkdir(parents=True, exist_ok=True)
             write_atomic(path, data)  # concurrent runs share a cache
         except OSError as error:
@@ -342,6 +378,7 @@ __all__ = [
     "STALE_TMP_TTL_S",
     "EngineCounters",
     "ResultStore",
+    "listed",
     "sweep_stale",
     "write_atomic",
 ]

@@ -272,22 +272,24 @@ def on_job_start(key: str, attempt: int = 0) -> None:
         )
 
 
-def mangle_cache_write(key: str, data: str) -> str:
+def mangle_cache_write(key: str, data: str, attempt: int = 0) -> str:
     """Cache-write hook: return ``data``, possibly truncated mid-document.
 
     A truncated prefix of a JSON object is never valid JSON, so the
     damage is guaranteed detectable (and quarantinable) on read.
+    ``attempt`` is the writing job's retry index: a job re-run because
+    its stored result was lost writes again one attempt later.
     """
     plan = active()
-    if plan is None or not plan.fires_at("corrupt", key):
+    if plan is None or not plan.fires_at("corrupt", key, attempt):
         return data
     return data[: max(1, len(data) // 3)]
 
 
-def maybe_cache_write_error(key: str) -> None:
+def maybe_cache_write_error(key: str, attempt: int = 0) -> None:
     """Cache-write hook: maybe raise an injected ``OSError``."""
     plan = active()
-    if plan is not None and plan.fires_at("write_os", key):
+    if plan is not None and plan.fires_at("write_os", key, attempt):
         raise OSError(f"injected cache-write failure for {key}")
 
 

@@ -26,9 +26,12 @@ from repro.exec import (
     run_worker,
     trace_job,
 )
+from repro.exec import broker as broker_module
 from repro.exec.broker import BROKER_SCHEMA, BrokerStore, Lease, _wall_now
+from repro.exec.store import ResultStore
 from repro.obs import Obs
 from repro.obs.manifest import summarize
+from repro.obs.telemetry import read_all_frames, telemetry_dir
 from repro.resilience import PoisonJobError
 
 #: Fast policy for tests: no real sleeping between attempts.
@@ -66,6 +69,15 @@ def fast_config(tmp_path, **overrides):
     )
     settings.update(overrides)
     return BrokerConfig(**settings)
+
+
+def exit_reasons(config):
+    """The ``reason`` of every worker ``exit`` frame on the broker's bus."""
+    return [
+        frame.get("reason")
+        for frame in read_all_frames(telemetry_dir(config.root))
+        if frame.get("event") == "exit" and frame.get("role") == "worker"
+    ]
 
 
 def expire_lease(store, fingerprint):
@@ -172,6 +184,15 @@ class TestPublish:
         assert sorted(store.pending()) == sorted(
             job.fingerprint for job in jobs
         )
+
+    def test_jobs_with_a_cached_result_are_not_published(self, tmp_path):
+        # A worker finished ``done`` between the coordinator's resolve
+        # and its publish: re-posting it would run it a second time.
+        store = BrokerStore(fast_config(tmp_path))
+        done, todo = cheap_jobs(2)
+        store.cache.write(done, ExecEngine().run_job(done))
+        assert store.publish([done, todo]) == 1
+        assert store.pending() == [todo.fingerprint]
 
     def test_quarantined_jobs_are_not_republished(self, tmp_path):
         store = BrokerStore(fast_config(tmp_path))
@@ -295,6 +316,28 @@ class TestClaim:
         retry = store.claim("w1")
         assert retry is not None
         assert retry.lease.generation == 2
+
+    def test_skipped_live_lease_is_stolen_after_expiry_from_a_stale_snapshot(
+        self, tmp_path
+    ):
+        config = fast_config(tmp_path, lease_ttl_s=30.0)
+        owner, worker = BrokerStore(config), BrokerStore(config)
+        first, second, third = sorted(
+            cheap_jobs(3), key=lambda job: job.fingerprint
+        )
+        owner.publish([first, second, third])
+        assert owner.claim("w1").job == first
+        # The worker's snapshot lists all three; the first is held live.
+        assert worker.claim("w2").job == second
+        expire_lease(owner, first.fingerprint)
+        # The rest of the snapshot predates the expiry and is used first;
+        # the skipped job comes back at the next listing and is stolen.
+        assert worker.claim("w2").job == third
+        stolen = worker.claim("w2")
+        assert stolen is not None
+        assert stolen.job == first
+        assert stolen.lease.generation == 2
+        assert worker.claim("w2") is None
 
 
 class TestClaimRaces:
@@ -504,6 +547,56 @@ class TestRunWorker:
         assert stats.claimed == 1
         assert len(BrokerStore(config).pending()) == 2
 
+    def test_claims_list_the_queue_once_not_once_per_claim(
+        self, tmp_path, monkeypatch
+    ):
+        config = fast_config(tmp_path, idle_timeout_s=60.0)
+        store = BrokerStore(config)
+        jobs = cheap_jobs(8)
+        store.publish(jobs)
+        store.close()
+        listings = []
+        real_pending = BrokerStore.pending
+
+        def pending(self):
+            listings.append(1)
+            return real_pending(self)
+
+        monkeypatch.setattr(BrokerStore, "pending", pending)
+        started = time.monotonic()
+        stats = run_worker(config, resilience=FAST)
+        # One listing feeds every claim; one more finds the queue empty,
+        # and the closed drain ends the loop instead of the idle timeout.
+        assert stats.executed == len(jobs)
+        assert len(listings) == 2
+        assert time.monotonic() - started < 30.0
+        assert exit_reasons(config) == ["drained"]
+
+    def test_drained_waits_for_live_leases(self, tmp_path):
+        config = fast_config(tmp_path, lease_ttl_s=30.0)
+        store = BrokerStore(config)
+        job = cheap_jobs(1)[0]
+        store.publish([job])
+        assert not store.drained()  # no marker yet
+        store.claim("w1")
+        store.close()
+        # A live claim may still lose its result: stay until it ends.
+        assert not store.drained()
+        expire_lease(store, job.fingerprint)
+        assert store.drained()
+        store.reopen()
+        assert not store.drained()
+
+    def test_exit_frame_names_the_reason(self, tmp_path):
+        config = fast_config(tmp_path)
+        BrokerStore(config).publish(cheap_jobs(1))
+        run_worker(config, max_jobs=1, resilience=FAST)
+        run_worker(config, idle_timeout_s=0.05, resilience=FAST)
+        stop = threading.Event()
+        stop.set()
+        run_worker(config, stop=stop, resilience=FAST)
+        assert exit_reasons(config) == ["max_jobs", "idle", "stopped"]
+
 
 # ------------------------------------------------------------------ #
 # the coordinator drain (engine side)
@@ -522,6 +615,22 @@ class TestDrain:
             return engine.run_jobs(jobs)
         finally:
             worker.join(timeout=30.0)
+
+    def drain_within(self, engine, jobs, config, timeout_s=60.0):
+        """Like :meth:`run_with_background_worker`, but a drain that never
+        finishes fails the test instead of hanging it."""
+        outcome: list = []
+        coordinator = threading.Thread(
+            target=lambda: outcome.append(
+                self.run_with_background_worker(engine, jobs, config)
+            ),
+            daemon=True,
+        )
+        coordinator.start()
+        coordinator.join(timeout=timeout_s)
+        assert not coordinator.is_alive(), "the drain never finished"
+        assert outcome, "the drain raised"
+        return outcome[0]
 
     def test_drain_adopts_worker_results_byte_identically(self, tmp_path):
         config = fast_config(tmp_path)
@@ -634,6 +743,128 @@ class TestDrain:
         assert engine.counters.executed == 2
         assert BrokerStore(config).pending() == []
 
+    def test_worker_leaves_when_the_drain_closes(self, tmp_path):
+        config = fast_config(tmp_path, idle_timeout_s=60.0)
+        worker = threading.Thread(
+            target=run_worker,
+            args=(config,),
+            kwargs={"resilience": FAST},
+            daemon=True,
+        )
+        worker.start()
+        engine = ExecEngine(exec_backend="broker", broker=config, resilience=FAST)
+        engine.run_jobs(cheap_jobs(2))
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()  # left well before its idle timeout
+        assert config.closed_path.exists()
+        assert exit_reasons(config) == ["drained"]
+
+    def test_coordinator_reads_each_listed_result_once(
+        self, tmp_path, monkeypatch
+    ):
+        config = fast_config(tmp_path)
+        jobs = cheap_jobs(6)
+        draining = threading.Event()
+        real_drain = broker_module.drain
+
+        def drain(engine, pending):
+            draining.set()
+            try:
+                return real_drain(engine, pending)
+            finally:
+                draining.clear()
+
+        reads = []
+        real_read = ResultStore.read
+
+        def read(self, job):
+            result = real_read(self, job)
+            if draining.is_set() and threading.current_thread() is (
+                threading.main_thread()
+            ):
+                reads.append(result is not None)
+            return result
+
+        monkeypatch.setattr(broker_module, "drain", drain)
+        monkeypatch.setattr(ResultStore, "read", read)
+        engine = ExecEngine(exec_backend="broker", broker=config, resilience=FAST)
+        self.run_with_background_worker(engine, jobs, config)
+        # Rounds read only results their cache listing names: one hit
+        # per job, however many rounds the drain took.
+        assert reads == [True] * len(jobs)
+
+    def test_result_of_a_worker_dead_before_complete_is_adopted_at_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.exec.worker import execute_job
+
+        config = fast_config(tmp_path, lease_ttl_s=60.0)
+        job = cheap_jobs(1)[0]
+        store = BrokerStore(config)
+        store.publish([job])
+        claim = store.claim("doomed-worker")
+        real_drain = broker_module.drain
+
+        def drain(engine, pending):
+            # The worker's last act: its result lands, then it dies with
+            # its record and a live lease still on disk.
+            store.cache.write(claim.job, execute_job(claim.job))
+            return real_drain(engine, pending)
+
+        monkeypatch.setattr(broker_module, "drain", drain)
+        engine = ExecEngine(exec_backend="broker", broker=config, resilience=FAST)
+        started = time.monotonic()
+        results = engine.run_jobs([job])
+        assert time.monotonic() - started < 10.0  # not the 60 s lease TTL
+        assert [r.canonical() for r in results] == reference_canonicals([job])
+        assert results[0].source == "broker"
+        assert engine.counters.reclaims == 0
+        assert BrokerStore(config).pending() == []
+
+    def test_corrupt_results_are_republished_until_readable(self, tmp_path):
+        config = fast_config(tmp_path)
+        jobs = cheap_jobs(4)
+        reference = reference_canonicals(jobs)
+        obs = Obs()
+        engine = ExecEngine(
+            exec_backend="broker", broker=config, resilience=FAST, obs=obs
+        )
+        # Every first write is torn; the republished attempt heals.
+        with faults.injected("seed=3,corrupt=1.0"):
+            results = self.drain_within(engine, jobs, config)
+        assert [r.canonical() for r in results] == reference
+        assert engine.counters.cache_corrupt == len(jobs)
+        assert engine.counters.quarantined == 0
+        republished = [
+            entry
+            for entry in obs.entries
+            if entry.get("type") == "broker" and entry.get("event") == "republish"
+        ]
+        assert sorted(entry["fingerprint"] for entry in republished) == sorted(
+            job.fingerprint for job in jobs
+        )
+        assert all(entry["attempt"] == 1 for entry in republished)
+        fresh = BrokerStore(config)
+        assert fresh.pending() == []
+        assert [fresh.cache.read(job).canonical() for job in jobs] == reference
+
+    def test_a_result_lost_at_every_attempt_is_quarantined(self, tmp_path):
+        config = fast_config(tmp_path, max_generations=2)
+        job = cheap_jobs(1)[0]
+        keep_going = ResilienceConfig(
+            backoff_base_s=0.0, backoff_jitter=0.0, keep_going=True
+        )
+        engine = ExecEngine(
+            exec_backend="broker", broker=config, resilience=keep_going
+        )
+        # fires=2: the torn write persists past the first republish.
+        with faults.injected("seed=3,corrupt=1.0,fires=2"):
+            results = self.drain_within(engine, [job], config)
+        assert not results[0].ok
+        assert engine.counters.quarantined == 1
+        assert engine.counters.cache_corrupt == 2
+        assert "result lost 2 time(s)" in engine.failures[0].message
+
 
 # ------------------------------------------------------------------ #
 # full chaos: spawned fleet, SIGKILLed workers
@@ -666,3 +897,14 @@ class TestFleetChaos:
         assert list(config.jobs_dir.glob("*")) == []
         assert list(config.leases_dir.glob("*")) == []
         assert list(config.reclaims_dir.glob("*")) == []
+
+    def test_spawned_fleet_leaves_on_the_drain_closed_marker(self, tmp_path):
+        jobs = cheap_jobs(3)
+        config = BrokerConfig(
+            root=tmp_path / "broker", poll_s=0.05, spawn=True
+        )
+        engine = ExecEngine(jobs=2, broker=config, resilience=FAST)
+        results = engine.run_jobs(jobs)
+        assert [r.canonical() for r in results] == reference_canonicals(jobs)
+        # Both workers exited on the marker, not by SIGTERM or timeout.
+        assert exit_reasons(config) == ["drained", "drained"]

@@ -19,7 +19,7 @@ import pytest
 
 from repro import faults
 from repro.exec import ExecEngine, trace_job
-from repro.exec.store import write_atomic
+from repro.exec.store import ResultStore, write_atomic
 
 
 @pytest.fixture(autouse=True)
@@ -46,6 +46,21 @@ def assert_cache_clean(cache_dir: Path) -> None:
     """No quarantine or tmp litter anywhere under the cache."""
     assert list(cache_dir.glob("*/*.corrupt")) == []
     assert list(cache_dir.glob("*/*.tmp.*")) == []
+
+
+class TestPresence:
+    def test_present_lists_result_files_only(self, tmp_path):
+        done, torn, pending = cheap_jobs(3)
+        store = ResultStore(tmp_path / "cache")
+        for job in (done, torn):
+            store.write(job, ExecEngine().run_job(job))
+        store.quarantine(store.path_for(torn.fingerprint))
+        shard = store.path_for(pending.fingerprint).parent
+        shard.mkdir(parents=True, exist_ok=True)
+        (shard / f"{pending.fingerprint}.json.tmp.1.2").write_text("{")
+        fingerprints = [job.fingerprint for job in (done, torn, pending)]
+        assert store.present(fingerprints) == {done.fingerprint}
+        assert ResultStore(tmp_path / "absent").present(fingerprints) == set()
 
 
 class TestThreadedWriters:
